@@ -1,21 +1,22 @@
 """P1 assembly and the two spectral solves used by the benchmarks.
 
-The Steklov problem K u = sigma D u (D the lumped boundary mass, zero
-off the Steklov part of the boundary) is reduced to the boundary before
-solving: with S the Steklov boundary dofs and I the rest,
+Both spectra are the smallest eigenvalues of a symmetric pencil
+K u = lam B u with K and B positive semidefinite.  For the Neumann
+problem B = M, the consistent mass.  For the Steklov problem
+B = diag(D), the lumped boundary mass on the Steklov part of the
+boundary: Dirichlet-marked boundary parts are eliminated,
+Neumann-marked parts are left free, every other marker is Steklov.
 
-    T = K_SS - K_SI K_II^{-1} K_IS
-
-is the discrete Dirichlet-to-Neumann operator, and T w = sigma D_S w is
-a dense symmetric problem of boundary size.  This removes the infinite
-eigenvalues of the degenerate pencil (D is supported only on S) and
-costs one sparse factorization plus |S| solves, done in column chunks.
-
-Dirichlet-marked boundary parts are eliminated, Neumann-marked parts
-are left free, every other marker is Steklov.
-
-neumann_spectrum solves K u = lam M u with the consistent mass matrix,
-densely up to DENSE_CUTOFF dofs and by shift-invert Lanczos above.
+One solver serves both.  A = K + tau B is positive definite for tau > 0
+(the constants, K's kernel, carry B-mass), so it is factored once and
+shift-invert Lanczos finds the largest mu of B u = mu A u, with lam =
+1/mu - tau (ARPACK Users' Guide, Lehoucq, Sorensen and Yang 1998,
+sections 3-4).  tau = 1/|B|, the reciprocal area or Steklov boundary
+length, keeps the shift at the scale of the lowest eigenvalues.  Steklov
+interior dofs have mu = 0 and never surface.  Every lam >= 0, so mu <=
+1/tau in exact arithmetic; rounding above that bound is clipped and no
+eigenvalue comes out negative.  ARPACK needs fewer eigenvalues than dofs
+minus one; at or above that the same pencil goes to a dense eigh.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from ..errors import ConfigurationError, NumericalError
 from .mesh import Mesh
-
-DENSE_CUTOFF = 3000
-_SCHUR_CHUNK = 128
 
 
 def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, int]:
@@ -81,6 +79,36 @@ def _marker_sets(mesh, dirichlet_markers, neumann_markers):
     return dset, steklov
 
 
+def _pencil_eigs(K, b_mat, count: int, tau: float, return_modes: bool = False):
+    """`count` smallest eigenvalues of K u = lam B u, ascending.
+
+    With return_modes also the eigenvectors as columns, normalized so
+    that u^T B u = 1.
+    """
+    n = K.shape[0]
+    A = (K + tau * b_mat).tocsc()
+    if count >= n - 1:
+        mu, x = eigh(b_mat.toarray(), A.toarray(), subset_by_index=[n - count, n - 1])
+    else:
+        lu = splu(A)
+        mu, x = eigsh(
+            b_mat,
+            k=count,
+            M=A,
+            Minv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
+            which="LA",
+            v0=np.random.default_rng(0).standard_normal(n),
+        )
+    order = np.argsort(mu)[::-1]
+    mu, x = mu[order], x[:, order]
+    # K and B are semidefinite, so lam = 1/mu - tau >= 0; clip the
+    # rounding that puts mu of the constant mode above 1/tau
+    vals = np.maximum(1.0 / mu - tau, 0.0)
+    if not return_modes:
+        return vals
+    return vals, x / np.sqrt(np.einsum("ij,ij->j", x, b_mat @ x))
+
+
 def steklov_spectrum(
     mesh: Mesh,
     count: int,
@@ -95,77 +123,40 @@ def steklov_spectrum(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    dset, _ = _marker_sets(mesh, dirichlet_markers, neumann_markers)
+    dset, steklov_markers = _marker_sets(mesh, dirichlet_markers, neumann_markers)
     K, _, dof, ndof = assemble(mesh)
-    steklov_markers = set(int(m) for m in np.unique(mesh.boundary_markers)) - dset - set(
-        neumann_markers
-    )
     d_vec = boundary_mass(mesh, steklov_markers, dof, ndof)
 
     fixed = np.zeros(ndof, dtype=bool)
     sel = np.isin(mesh.boundary_markers, list(dset))
     fixed[dof[mesh.boundary_edges[sel].ravel()]] = True
-
-    is_s = (d_vec > 0) & ~fixed
-    si = np.flatnonzero(is_s)
-    ii = np.flatnonzero(~is_s & ~fixed)
-    if count > len(si):
+    free = np.flatnonzero(~fixed)
+    n_steklov = int(np.count_nonzero(d_vec[free] > 0))
+    if count > n_steklov:
         raise ConfigurationError(
-            f"requested {count} eigenvalues but only {len(si)} boundary dofs"
+            f"requested {count} eigenvalues but only {n_steklov} boundary dofs"
         )
 
-    t_mat = K[si][:, si].toarray()
-    if len(ii):
-        k_ii = K[ii][:, ii].tocsc()
-        k_is = K[ii][:, si].tocsc()
-        lu = splu(k_ii)
-        k_si = k_is.T.tocsr()
-        for lo in range(0, len(si), _SCHUR_CHUNK):
-            hi = min(lo + _SCHUR_CHUNK, len(si))
-            x = lu.solve(k_is[:, lo:hi].toarray())
-            t_mat[:, lo:hi] -= k_si @ x
-    t_mat = 0.5 * (t_mat + t_mat.T)
-
-    w = 1.0 / np.sqrt(d_vec[si])
-    vals, vecs = eigh(w[:, None] * t_mat * w[None, :])
-    sigmas = vals[:count]
+    out = _pencil_eigs(
+        K[free][:, free],
+        sparse.diags(d_vec[free]),
+        count,
+        1.0 / float(d_vec.sum()),
+        return_modes,
+    )
     if not return_modes:
-        return sigmas
-
-    u_s = w[:, None] * vecs[:, :count]
+        return out
+    sigmas, u_free = out
     u = np.zeros((ndof, count))
-    u[si] = u_s
-    if len(ii):
-        u[ii] = -lu.solve(k_is @ u_s)
+    u[free] = u_free
     return sigmas, u[dof]
 
 
-def neumann_spectrum(
-    mesh: Mesh, count: int, dense_cutoff: int = DENSE_CUTOFF
-) -> np.ndarray:
+def neumann_spectrum(mesh: Mesh, count: int) -> np.ndarray:
     """First `count` Neumann eigenvalues of the mesh, ascending from ~0."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     K, M, _, ndof = assemble(mesh)
     if count > ndof:
         raise ConfigurationError(f"requested {count} eigenvalues of {ndof} dofs")
-    if ndof <= dense_cutoff:
-        vals = eigh(
-            K.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, count - 1]
-        )
-        return np.asarray(vals)
-    # shift-invert about a small negative value; K + tau*M stays SPD and
-    # the constant mode is recovered as the eigenvalue nearest zero
-    tau = 1.0 / float(M.sum())
-    v0 = np.random.default_rng(0).standard_normal(ndof)
-    vals = eigsh(
-        K,
-        k=count,
-        M=M,
-        sigma=-tau,
-        which="LM",
-        v0=v0,
-        ncv=min(ndof - 1, max(4 * count, 60)),
-        return_eigenvectors=False,
-    )
-    return np.sort(vals)
+    return _pencil_eigs(K, M, count, 1.0 / float(M.sum()))

@@ -11,9 +11,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from steklov_tubes.acceptance import TORUS_CENTERS
 from steklov_tubes.errors import ConfigurationError
 from steklov_tubes.fem import (
+    Disk,
+    mesh_planar,
     mesh_torus_minus_disks,
     neumann_spectrum,
     steklov_spectrum,
@@ -75,10 +79,55 @@ def test_bare_torus_neumann():
 
 
 def test_neumann_dense_sparse_agree():
-    mesh = mesh_torus_minus_disks(1.0, [], 0.05, 0.015)
-    dense = neumann_spectrum(mesh, 4)
-    sparse = neumann_spectrum(mesh, 4, dense_cutoff=10)
-    assert list(sparse) == pytest.approx(list(dense), rel=1e-8, abs=1e-8)
+    cases = [
+        (mesh_torus_minus_disks(1.0, [], 0.05, 0.015), 4),
+        # 19 dofs and count = ndof: the solver's dense path
+        (mesh_planar(Disk(1.0), 0.5), 19),
+    ]
+    for mesh, count in cases:
+        K, M, _, _ = assemble(mesh)
+        dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[:count]
+        vals = neumann_spectrum(mesh, count)
+        assert list(vals) == pytest.approx(list(dense), rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "dirichlet, neumann", [((), ()), ((1,), ()), ((), (1,)), ((0,), ())]
+)
+def test_steklov_matches_dense_schur(annulus_mesh, dirichlet, neumann):
+    # reference: the dense Dirichlet-to-Neumann Schur complement on the
+    # Steklov dofs S, with the remaining free dofs I eliminated
+    mesh = annulus_mesh
+    K, _, dof, ndof = assemble(mesh)
+    d = boundary_mass(mesh, {0, 1} - set(dirichlet) - set(neumann), dof, ndof)
+    fixed = np.zeros(ndof, dtype=bool)
+    fixed[dof[mesh.boundary_edges[np.isin(mesh.boundary_markers, dirichlet)].ravel()]] = True
+    si = np.flatnonzero((d > 0) & ~fixed)
+    ii = np.flatnonzero((d == 0) & ~fixed)
+    Kd = K.toarray()
+    schur = Kd[np.ix_(si, si)] - Kd[np.ix_(si, ii)] @ np.linalg.solve(
+        Kd[np.ix_(ii, ii)], Kd[np.ix_(ii, si)]
+    )
+    w = 1.0 / np.sqrt(d[si])
+    ref = scipy.linalg.eigvalsh(w[:, None] * schur * w[None, :])[:8]
+
+    vals, modes = steklov_spectrum(
+        mesh, 8, dirichlet_markers=dirichlet, neumann_markers=neumann, return_modes=True
+    )
+    assert list(vals) == pytest.approx(list(ref), rel=1e-10, abs=1e-10)
+    u = np.zeros((ndof, 8))
+    u[dof] = modes
+    assert np.abs(u[fixed]).max(initial=0.0) == 0.0
+    assert np.einsum("ij,i,ij->j", u, d, u) == pytest.approx(np.ones(8), rel=1e-10)
+    resid = (K @ u - d[:, None] * u * vals[None, :])[~fixed]
+    assert np.abs(resid).max() < 1e-10 * max(1.0, float(vals[-1]))
+
+
+@pytest.mark.parametrize("eps, h", [(0.03, 0.006), (0.035, 0.035 / 4.5), (0.04, 0.04 / 4.5)])
+def test_steklov_zero_mode_not_negative(eps, h):
+    # K and D are semidefinite, so rounding must not push sigma_0 below 0
+    vals = steklov_spectrum(mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, h), 1)
+    assert 0.0 <= vals[0] <= 1e-10
 
 
 def test_assemble_partition_of_unity(annulus_mesh):
