@@ -23,8 +23,8 @@ goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 from . import bounds as bounds_mod
@@ -148,12 +148,10 @@ def _cmd_bracket(args) -> int:
     scenario = _load(args.scenario)
     delta = _resolve_delta(args.delta)
     grid = _eps_grid(args.eps, delta)
-    if args.ell_max < 0:
-        raise ConfigurationError(f"--ell-max must be >= 0, got {args.ell_max}")
     rows = []
     for eps in grid:
-        for ell in range(args.ell_max + 1):
-            lower, upper = families.bracket(scenario, eps, delta, ell)
+        pairs = families.bracket(scenario, eps, delta, args.ell_max)
+        for ell, (lower, upper) in enumerate(pairs):
             rows.append({"eps": eps, "ell": ell, "lower": lower, "upper": upper})
     _emit(rows, BRACKET_COLUMNS, args)
     return 0
@@ -170,40 +168,25 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _caps_row(eps: float, n: int, parity: str, mult: int, sigma: float) -> dict:
-    return {
-        "eps": eps,
-        "j": "",
-        "k": "",
-        "q": n,
-        "family": parity,
-        "multiplicity": mult,
-        "sigma": sigma,
-        "eps_sigma": eps * sigma,
-        "eps_logeps_sigma": eps * abs(math.log(eps)) * sigma,
-    }
-
-
 def _cmd_sphere_caps(args) -> int:
     grid = _eps_grid(args.eps)
     rows = []
     for eps in grid:
-        if args.n is not None:
-            if args.n == 0:
-                rows.append(_caps_row(eps, 0, "even", 1, 0.0))
-                rows.append(_caps_row(eps, 0, "odd", 1, spherecaps.sigma_zero(eps)))
-            else:
-                lo, hi = spherecaps.sigma_pm(args.n, eps)
-                rows.append(_caps_row(eps, args.n, "even", 2, lo))
-                rows.append(_caps_row(eps, args.n, "odd", 2, hi))
-            if args.oracle_grid:
-                for sig in spherecaps.ode_oracle(args.n, eps, args.oracle_grid):
-                    rows.append(_caps_row(eps, args.n, "oracle", 0, sig))
+        if args.n is None:
+            cells = [
+                (mode.n, mode.parity, mode.multiplicity, mode.value)
+                for mode in spherecaps.full_spectrum(eps, args.count)
+            ]
         else:
-            for mode in spherecaps.full_spectrum(eps, args.count):
-                rows.append(
-                    _caps_row(eps, mode.n, mode.parity, mode.multiplicity, mode.value)
-                )
+            if args.n == 0:
+                lo, hi, mult = 0.0, spherecaps.sigma_zero(eps), 1
+            else:
+                (lo, hi), mult = spherecaps.sigma_pm(args.n, eps), 2
+            cells = [(args.n, "even", mult, lo), (args.n, "odd", mult, hi)]
+            if args.oracle_grid:
+                oracle = spherecaps.ode_oracle(args.n, eps, args.oracle_grid)
+                cells += [(args.n, "oracle", 0, sig) for sig in oracle]
+        rows += [tables.mode_row(eps, "", "", *cell) for cell in cells]
     _emit(rows, tables.MODE_COLUMNS, args)
     return 0
 
@@ -249,24 +232,7 @@ def _cmd_fem(args) -> int:
             neumann_markers=tuple(args.neumann_markers),
         )
         family = "Steklov"
-    rows = []
-    for sigma in values:
-        sigma = float(sigma)
-        rows.append(
-            {
-                "eps": eps_col,
-                "j": "",
-                "k": "",
-                "q": "",
-                "family": family,
-                "multiplicity": "",
-                "sigma": sigma,
-                "eps_sigma": eps_col * sigma if eps_col != "" else "",
-                "eps_logeps_sigma": (
-                    eps_col * abs(math.log(eps_col)) * sigma if eps_col != "" else ""
-                ),
-            }
-        )
+    rows = [tables.mode_row(eps_col, "", "", "", family, "", sig) for sig in values]
     _emit(rows, tables.MODE_COLUMNS, args)
     return 0
 
@@ -297,16 +263,7 @@ def _cmd_bounds(args) -> int:
         _emit_obj(obj, args)
         return 0
     if args.format == "csv":
-        rows = [
-            {
-                "constant_C": report.constant_C,
-                "exponent": report.exponent,
-                "term_dimension": report.term_dimension,
-                "term_volume": report.term_volume,
-                "term_spectral": report.term_spectral,
-                "binding_term": report.binding_term,
-            }
-        ]
+        rows = [dataclasses.asdict(report)]
         _emit(rows, BOUND_COLUMNS, args)
     else:
         _emit_obj(report.to_json(), args)

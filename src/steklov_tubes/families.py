@@ -9,7 +9,8 @@ the Steklov spectrum of the ambient domain with the tubes removed:
 
 with the SN list 0-indexed (it starts with b zeros, one per tube) and
 the SD list 1-indexed (its smallest value is called sigma_1).  bracket()
-returns exactly that pair for a given ell.
+returns that pair for every ell up to ell_max, from one certified SN and
+one certified SD spectrum.
 
 predicted_limit encodes the small-eps behaviour of an individual mode:
 eps * sigma -> m - n - 2 + q, except that for q = 0 on a codimension-2
@@ -157,23 +158,23 @@ def bracket(
     scenario: ExcisionScenario,
     eps: float,
     delta: float,
-    ell: int,
-) -> tuple[float, float]:
-    """Two-sided bound for the ell-th Steklov eigenvalue of Omega_eps.
+    ell_max: int,
+) -> list[tuple[float, float]]:
+    """Two-sided bounds for the Steklov eigenvalues of Omega_eps.
 
-    Returns (sigma_ell^SN(A), sigma_{ell+1}^SD(A)) with the index
-    conventions from the module docstring; ell is 0-based and ell = 0
-    gives (0, sigma_1^SD).
+    Returns the pairs (sigma_ell^SN(A), sigma_{ell+1}^SD(A)) for
+    ell = 0..ell_max, with the index conventions from the module
+    docstring; ell = 0 gives (0, sigma_1^SD).  Each family is certified
+    once at ell_max + 1 values: a certified list ends below the omitted
+    lower bound, so a larger window adds no value at an index <= ell and
+    every pair equals the one certified at ell + 1 values alone.
     """
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
-    sn = truncated_spectrum(
-        scenario, eps, delta, ell + 1, "SN", include_zero_modes=True
-    )
-    sd = truncated_spectrum(scenario, eps, delta, ell + 1, "SD")
-    lower = expand_values(sn, ell + 1)[ell]
-    upper = expand_values(sd, ell + 1)[ell]
-    return lower, upper
+    if ell_max < 0:
+        raise ValueError(f"ell_max must be >= 0, got {ell_max}")
+    count = ell_max + 1
+    sn = truncated_spectrum(scenario, eps, delta, count, "SN", include_zero_modes=True)
+    sd = truncated_spectrum(scenario, eps, delta, count, "SD")
+    return list(zip(expand_values(sn, count), expand_values(sd, count)))
 
 
 # ---------------------------------------------------------------------------

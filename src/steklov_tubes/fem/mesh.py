@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 from ..errors import ConfigurationError, NumericalError
@@ -76,22 +78,15 @@ class Mesh:
         return len(self.triangles)
 
     def dof_map(self) -> tuple[np.ndarray, int]:
-        """Vertex -> dof indices after periodic identification."""
-        parent = np.arange(self.num_vertices)
+        """Vertex -> dof indices after periodic identification.
 
-        def root(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for dup, rep in self.periodic_pairs:
-            a, b = root(int(dup)), root(int(rep))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        roots = np.array([root(i) for i in range(self.num_vertices)])
-        uniq, dof = np.unique(roots, return_inverse=True)
-        return dof, len(uniq)
+        Dofs are the connected components of the periodic_pairs graph,
+        numbered in order of their lowest vertex.
+        """
+        n, pairs = self.num_vertices, self.periodic_pairs
+        graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), (n, n))
+        ndof, dof = connected_components(graph, directed=False)
+        return dof, ndof
 
     def areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -190,7 +185,7 @@ class Mesh:
                         for ln in lines[pos + 1 : pos + 1 + int(npairs)]
                     ],
                     dtype=np.int64,
-                )
+                ).reshape(int(npairs), 2)
         except (ValueError, IndexError) as exc:
             raise ConfigurationError(f"malformed mesh file {path}: {exc}") from exc
         mesh = cls(verts, tris, be, bm, pairs)

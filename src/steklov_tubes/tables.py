@@ -1,7 +1,10 @@
 """Flat-file output of eigenvalue tables (CSV and JSON).
 
 Floats are written with repr(), the shortest round-trip form, so output
-files are byte-stable across runs of the same inputs.
+files are byte-stable across runs of the same inputs; numpy floats are
+written as the plain floats they equal.  mode_row() builds every
+MODE_COLUMNS row, whether the sigma comes from a model mode, a sphere-cap
+closed form or a FEM solve.
 """
 
 from __future__ import annotations
@@ -25,28 +28,32 @@ MODE_COLUMNS = (
 )
 
 
+def mode_row(eps, j, k, q, family, multiplicity, sigma) -> dict:
+    """One MODE_COLUMNS row; eps "" (a planar FEM domain) blanks the scaled cells."""
+    scaled = eps != ""
+    return {
+        "eps": eps,
+        "j": j,
+        "k": k,
+        "q": q,
+        "family": family,
+        "multiplicity": multiplicity,
+        "sigma": sigma,
+        "eps_sigma": eps * sigma if scaled else "",
+        "eps_logeps_sigma": eps * abs(math.log(eps)) * sigma if scaled else "",
+    }
+
+
 def mode_rows(eps: float, modes: list[ModeEigenvalue]) -> list[dict]:
-    rows = []
-    for m in modes:
-        rows.append(
-            {
-                "eps": eps,
-                "j": m.j,
-                "k": m.k,
-                "q": m.q,
-                "family": m.family,
-                "multiplicity": m.multiplicity,
-                "sigma": m.value,
-                "eps_sigma": eps * m.value,
-                "eps_logeps_sigma": eps * abs(math.log(eps)) * m.value,
-            }
-        )
-    return rows
+    return [
+        mode_row(eps, m.j, m.k, m.q, m.family, m.multiplicity, m.value) for m in modes
+    ]
 
 
 def _cell(value) -> str:
+    # float() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -62,6 +64,13 @@ def test_exit_codes(capsys, tmp_path):
     # criteria indices are validated
     assert main(["verify-all", "--criteria", "11"]) == 1
     capsys.readouterr()
+    # a negative ell range is refused by the model layer
+    assert (
+        main(["bracket", "--scenario", TORUS, "--eps", "0.01", "--ell-max", "-1"])
+        == 1
+    )
+    _, err = capsys.readouterr()
+    assert json.loads(err.splitlines()[-1])["error"] == "configuration"
 
 
 def test_sphere_caps_anchor(capsys):
@@ -129,6 +138,30 @@ def test_bracket_ordering(capsys):
     assert all(r["lower"] <= r["upper"] for r in rows)
     # consecutive brackets are ordered through the shared interleaving
     assert all(a["upper"] <= b["upper"] + 1e-12 for a, b in zip(rows, rows[1:]))
+
+
+def _readme_examples():
+    """(command, shown output lines, elided) per `$ steklov-tubes` README block."""
+    text = (REPO / "README.md").read_text()
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```$", text, re.S | re.M):
+        if not block.startswith("$ steklov-tubes "):
+            continue
+        lines = block.replace("\\\n", " ").splitlines()
+        shown = lines[1:]
+        elided = "..." in shown
+        if elided:
+            shown = shown[: shown.index("...")]
+        yield lines[0][2:], shown, elided
+
+
+def test_readme_examples(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    examples = list(_readme_examples())
+    assert len(examples) >= 6
+    for command, shown, elided in examples:
+        assert main(shlex.split(command)[1:]) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        assert (out[: len(shown)] if elided else out) == shown, command
 
 
 def test_verify_single_criterion(capsys, tmp_path):

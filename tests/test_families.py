@@ -74,17 +74,40 @@ def test_truncated_spectrum_errors():
         truncated_spectrum(circle_scenario(), 0.1, 0.5, 40, k_max=1, q_max=1)
 
 
+def torus3_circle() -> ExcisionScenario:
+    # scenarios/torus3-circle.json: a circle and a point in a flat 3-torus
+    circ = SubmanifoldSpec(1, 1.0, Circle(1.0))
+    point = SubmanifoldSpec(0, 1.0, Point())
+    return ExcisionScenario(m=3, lambda1_M=4 * PI**2, submanifolds=(circ, point))
+
+
 def test_bracket_ordering():
     # SN_ell <= SD_{ell+1} by the variational characterization
-    scenario = torus_points()
-    for ell in range(8):
-        lower, upper = bracket(scenario, 0.03, 0.12, ell)
-        assert lower <= upper
-    lower, upper = bracket(scenario, 0.03, 0.12, 0)
+    pairs = bracket(torus_points(), 0.03, 0.12, 7)
+    assert len(pairs) == 8
+    assert all(lower <= upper for lower, upper in pairs)
+    lower, upper = pairs[0]
     assert lower == 0.0
     assert upper == pytest.approx(
         sigma_mixed(RadialMode(1, 0, 0.0), 0.03, 0.12, "Dirichlet"), rel=1e-14
     )
+    with pytest.raises(ValueError):
+        bracket(torus_points(), 0.03, 0.12, -1)
+
+
+def test_bracket_matches_per_ell_spectra():
+    # one certified spectrum per family gives, bit for bit, the values
+    # certified separately at ell + 1 for each ell (Bessel path included)
+    scenario = torus3_circle()
+    for eps in (0.01, 0.001):
+        pairs = bracket(scenario, eps, DELTA_DEFAULT, 12)
+        for ell, (lower, upper) in enumerate(pairs):
+            sn = truncated_spectrum(
+                scenario, eps, DELTA_DEFAULT, ell + 1, "SN", include_zero_modes=True
+            )
+            sd = truncated_spectrum(scenario, eps, DELTA_DEFAULT, ell + 1, "SD")
+            assert lower == expand_values(sn, ell + 1)[ell]
+            assert upper == expand_values(sd, ell + 1)[ell]
 
 
 def test_predicted_limit():

@@ -66,6 +66,31 @@ def test_bare_torus():
     assert len(mesh.boundary_edges) == 0
 
 
+def test_dof_map_chained_pairs():
+    # pairs that chain through vertex 1 glue all three vertices into dof 0
+    mesh = Mesh(
+        np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
+        np.array([[0, 1, 3]]),
+        np.zeros((0, 2), dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+        np.array([[2, 1], [1, 0]]),
+    )
+    dof, ndof = mesh.dof_map()
+    assert dof.tolist() == [0, 0, 0, 1]
+    assert ndof == 2
+
+
+def test_load_empty_periodic_section(tmp_path):
+    # "periodic 0" still gives an (n, 2) pair array, so dof_map works
+    path = tmp_path / "disk.txt"
+    mesh_planar(Disk(1.0), 0.5).save(str(path))
+    with open(path, "a") as fh:
+        fh.write("periodic 0\n")
+    loaded = Mesh.load(str(path))
+    assert loaded.periodic_pairs.shape == (0, 2)
+    assert loaded.dof_map()[1] == loaded.num_vertices
+
+
 def test_refinement_scales_vertex_count():
     coarse = mesh_planar(Disk(1.0), 0.2)
     fine = mesh_planar(Disk(1.0), 0.1)
