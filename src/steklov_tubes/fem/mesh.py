@@ -15,10 +15,12 @@ Three generators:
     Laplacian smoothing; hole triangles are dropped by a centroid test
     whose margin separates polygon ears from kept collar triangles.
 
-Vertex coordinates live on the fundamental square; the periodic gluing
-exists only in the degree-of-freedom map, so boundary extraction and
-the Euler characteristic are computed in dof space.  For a torus of
-genus 1 with b holes that characteristic is -b.
+The torus mesh covers a translate of the fundamental square, chosen so
+its seams run clear of every hole; hole j carries marker j wherever its
+center lies.  The periodic gluing exists only in the degree-of-freedom
+map, so boundary extraction, validate and the Euler characteristic all
+read one dof-space edge table (_edge_table).  For a torus of genus 1
+with b holes that characteristic is -b.
 """
 
 from __future__ import annotations
@@ -36,6 +38,24 @@ from ..errors import ConfigurationError, NumericalError
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Undirected edges of a triangle array: (unique pairs, inverse, counts).
+
+    The 3*nt directed edges are the 0-1 sides of every triangle, then the
+    1-2 sides, then the 2-0 sides; inverse maps each to its row of the
+    unique (a < b) pairs, which come out in lexicographic order.  The
+    sort key a*n + b is int64 so it cannot wrap for large meshes.
+    """
+    edges = np.sort(
+        np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1
+    ).astype(np.int64)
+    n = edges.max(initial=0) + 1
+    keys, inverse, counts = np.unique(
+        edges[:, 0] * n + edges[:, 1], return_inverse=True, return_counts=True
+    )
+    return np.column_stack([keys // n, keys % n]), inverse, counts
 
 
 # Collar grading around each hole: ring spacing stays at h on a band of
@@ -94,12 +114,8 @@ class Mesh:
 
     def euler_characteristic(self) -> int:
         dof, ndof = self.dof_map()
-        tri = dof[self.triangles]
-        edges = np.sort(
-            np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1
-        )
-        n_edges = len(np.unique(edges, axis=0))
-        return ndof - n_edges + len(tri)
+        edges, _, _ = _edge_table(dof[self.triangles])
+        return ndof - len(edges) + self.num_triangles
 
     def boundary_length(self, marker: int | None = None) -> float:
         sel = (
@@ -115,11 +131,7 @@ class Mesh:
         if np.any(self.areas() <= 0):
             raise NumericalError("mesh has non-CCW or degenerate triangles")
         dof, _ = self.dof_map()
-        tri = dof[self.triangles]
-        edges = np.sort(
-            np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1
-        )
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        uniq, _, counts = _edge_table(dof[self.triangles])
         if np.any(counts > 2):
             raise NumericalError("mesh edge shared by more than two triangles")
         free = {tuple(e) for e in uniq[counts == 1]}
@@ -155,40 +167,28 @@ class Mesh:
     def load(cls, path: str) -> "Mesh":
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
+
+        def section(start: int, count: int, width: int, kind: type) -> np.ndarray:
+            block = lines[start : start + count]
+            rows = [[kind(t) for t in ln.split()] for ln in block]
+            dtype = np.float64 if kind is float else np.int64
+            return np.array(rows, dtype=dtype).reshape(count, width)
+
         try:
             nv, nt, nbe = map(int, lines[0].split())
-            pos = 1
-            verts = np.array(
-                [[float(t) for t in ln.split()] for ln in lines[pos : pos + nv]]
-            )
-            pos += nv
-            tris = np.array(
-                [[int(t) for t in ln.split()] for ln in lines[pos : pos + nt]],
-                dtype=np.int64,
-            )
-            pos += nt
-            be = np.zeros((nbe, 2), dtype=np.int64)
-            bm = np.zeros(nbe, dtype=np.int64)
-            for i, ln in enumerate(lines[pos : pos + nbe]):
-                a, b, m = map(int, ln.split())
-                be[i] = a, b
-                bm[i] = m
-            pos += nbe
+            verts = section(1, nv, 2, float)
+            tris = section(1 + nv, nt, 3, int)
+            bnd = section(1 + nv + nt, nbe, 3, int)
+            pos = 1 + nv + nt + nbe
             pairs = np.zeros((0, 2), dtype=np.int64)
             if pos < len(lines):
                 tag, npairs = lines[pos].split()
                 if tag != "periodic":
                     raise ValueError(f"unexpected section {tag!r}")
-                pairs = np.array(
-                    [
-                        [int(t) for t in ln.split()]
-                        for ln in lines[pos + 1 : pos + 1 + int(npairs)]
-                    ],
-                    dtype=np.int64,
-                ).reshape(int(npairs), 2)
+                pairs = section(pos + 1, int(npairs), 2, int)
         except (ValueError, IndexError) as exc:
             raise ConfigurationError(f"malformed mesh file {path}: {exc}") from exc
-        mesh = cls(verts, tris, be, bm, pairs)
+        mesh = cls(verts, tris, bnd[:, :2], bnd[:, 2], pairs)
         mesh.validate()
         return mesh
 
@@ -275,28 +275,15 @@ def _mesh_annulus(r_in: float, r_out: float, h: float) -> Mesh:
         [(r_in + i * (r_out - r_in) / n_r) * cs for i in range(n_r + 1)]
     )
 
-    def idx(i, k):
-        return i * n_t + k % n_t
-
-    tris = []
-    for i in range(n_r):
-        for k in range(n_t):
-            tris.append((idx(i, k), idx(i + 1, k), idx(i + 1, k + 1)))
-            tris.append((idx(i, k), idx(i + 1, k + 1), idx(i, k + 1)))
-    triangles = _orient_ccw(vertices, np.array(tris, dtype=np.int64))
-    be, bm = [], []
-    for k in range(n_t):
-        be.append((idx(0, k), idx(0, k + 1)))
-        bm.append(0)
-    for k in range(n_t):
-        be.append((idx(n_r, k), idx(n_r, k + 1)))
-        bm.append(1)
-    mesh = Mesh(
-        vertices,
-        triangles,
-        np.array(be, dtype=np.int64),
-        np.array(bm, dtype=np.int64),
-    )
+    # vertex i*n_t + k sits on ring i at angle k; each cell (i, k) splits
+    # into two triangles along its (i, k)-(i+1, k+1) diagonal
+    a = np.arange(n_r * n_t, dtype=np.int64)
+    d = a - a % n_t + (a + 1) % n_t
+    cells = np.column_stack([a, a + n_t, d + n_t, a, d + n_t, d])
+    triangles = _orient_ccw(vertices, cells.reshape(-1, 3))
+    ring = np.column_stack([a[:n_t], d[:n_t]])
+    be = np.concatenate([ring, ring + n_r * n_t])
+    mesh = Mesh(vertices, triangles, be, np.repeat(np.arange(2, dtype=np.int64), n_t))
     mesh.validate()
     return mesh
 
@@ -314,28 +301,20 @@ def mesh_planar(shape: Disk | Annulus, h: float) -> Mesh:
 # flat torus with circular excisions
 
 
-def _periodic_dist(p: np.ndarray, q: np.ndarray, side: float) -> float:
-    d = np.abs(p - q) % side
-    d = np.minimum(d, side - d)
-    return float(np.hypot(d[0], d[1]))
+def _best_offset(centers: np.ndarray, side: float) -> tuple[np.ndarray, float]:
+    """Offset on a 64x64 grid whose seams run farthest from every hole.
 
-
-def _seam_margin(centers: np.ndarray, off: np.ndarray, side: float) -> float:
-    t = (centers - off) % side
-    return float(np.minimum(t, side - t).min()) if len(t) else side / 2.0
-
-
-def _best_offset(centers: np.ndarray, side: float) -> np.ndarray:
-    # Translate the fundamental square so its seams run as far as
-    # possible from every hole; the torus itself does not care.
-    best, arg = -1.0, np.zeros(2)
-    for ox in np.linspace(0.0, side, 64, endpoint=False):
-        for oy in np.linspace(0.0, side, 64, endpoint=False):
-            off = np.array([ox, oy])
-            m = _seam_margin(centers, off, side)
-            if m > best:
-                best, arg = m, off
-    return arg
+    Returns (offset, margin), margin being the least distance from a
+    center to a seam (side/2 without holes); the first maximum in
+    (ox, oy) order wins.  The torus itself does not care where the
+    fundamental square starts.
+    """
+    grid = np.linspace(0.0, side, 64, endpoint=False)
+    t = (centers[None, :, :] - grid[:, None, None]) % side   # (offset, hole, axis)
+    axis_margin = np.minimum(t, side - t).min(axis=1, initial=side / 2.0)
+    margin = np.minimum.outer(axis_margin[:, 0], axis_margin[:, 1])
+    ix, iy = np.unravel_index(np.argmax(margin), margin.shape)
+    return np.array([grid[ix], grid[iy]]), float(margin[ix, iy])
 
 
 def mesh_torus_minus_disks(
@@ -362,30 +341,28 @@ def mesh_torus_minus_disks(
     if h_max is None:
         h_max = max(h, side / 32.0)
     h_max = min(h_max, side / 8.0)
-    for i in range(b):
-        for j in range(i, b):
-            shifts = [
-                np.array([sx, sy])
-                for sx in (-side, 0.0, side)
-                for sy in (-side, 0.0, side)
-                if not (i == j and sx == 0.0 and sy == 0.0)
-            ]
-            dmin = min(
-                float(np.hypot(*(centers[i] - centers[j] + s))) for s in shifts
-            )
-            if dmin <= 4.0 * eps:
-                raise ConfigurationError(
-                    f"holes {i} and {j} are {dmin:.4g} apart (periodic); "
-                    f"need more than {4.0 * eps:.4g}"
-                )
+    off, margin = _best_offset(centers, side)
+    frame = (centers - off) % side
 
-    off = _best_offset(centers, side) if b else np.zeros(2)
-    margin = _seam_margin(centers, off, side)
+    # periodic center distances; a hole's nearest copy of itself is one
+    # side away, so the diagonal holds side
+    gap = np.abs(frame[:, None] - frame[None, :]) % side
+    gap = np.minimum(gap, side - gap)
+    sep = np.hypot(gap[..., 0], gap[..., 1])
+    np.fill_diagonal(sep, side)
+    if sep.min(initial=math.inf) <= 4.0 * eps:
+        i, j = np.unravel_index(np.argmin(sep), sep.shape)
+        raise ConfigurationError(
+            f"holes {i} and {j} are {sep[i, j]:.4g} apart (periodic); "
+            f"need more than {4.0 * eps:.4g}"
+        )
     if b and margin <= 2.0 * eps + h_max:
         raise ConfigurationError(
             "cannot place the fundamental square seams clear of the holes"
         )
-    frame = (centers - off) % side
+    # collars stop short of other holes; a lone hole's collar is bounded
+    # by the seam margin alone
+    sep_min = sep[np.triu_indices(b, 1)].min(initial=math.inf)
 
     points: list[np.ndarray] = []
     pinned: list[np.ndarray] = []
@@ -412,11 +389,6 @@ def mesh_torus_minus_disks(
     pairs += list(zip(top, bot)) + list(zip(right, left))
 
     # hole polygons (pinned) and graded collar rings (free)
-    sep_min = math.inf
-    for i in range(b):
-        for j in range(b):
-            if i < j:
-                sep_min = min(sep_min, _periodic_dist(frame[i], frame[j], side))
     n_b = max(12, round(2.0 * math.pi * eps / h)) if b else 0
     ring_tops = []
     for c in frame:
@@ -484,15 +456,7 @@ def mesh_torus_minus_disks(
         simp = simp[~hole_mask(pts[simp])]
         if it == 3:
             break
-        edges = np.unique(
-            np.sort(
-                np.concatenate(
-                    [simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]
-                ),
-                axis=1,
-            ),
-            axis=0,
-        )
+        edges, _, _ = _edge_table(simp)
         sums = np.zeros_like(pts)
         cnt = np.zeros(len(pts))
         np.add.at(sums, edges[:, 0], pts[edges[:, 1]])
@@ -519,7 +483,7 @@ def mesh_torus_minus_disks(
         pair_arr,
     )
     mesh.boundary_edges, mesh.boundary_markers = _extract_boundary(
-        mesh, centers, eps
+        mesh, frame + off, eps
     )
     mesh.validate()
     chi = mesh.euler_characteristic()
@@ -537,19 +501,16 @@ def mesh_torus_minus_disks(
 def _extract_boundary(
     mesh: Mesh, centers: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary edges in dof space, mapped back to owning vertex pairs."""
+    """Boundary edges in dof space, mapped back to owning vertex pairs.
+
+    centers are the hole centers in the mesh's own (translated) frame.
+    """
     dof, _ = mesh.dof_map()
-    tri_v = mesh.triangles
-    tri_d = dof[tri_v]
-    edge_v = np.concatenate([tri_v[:, [0, 1]], tri_v[:, [1, 2]], tri_v[:, [2, 0]]])
-    edge_d = np.sort(
-        np.concatenate([tri_d[:, [0, 1]], tri_d[:, [1, 2]], tri_d[:, [2, 0]]]), axis=1
+    _, inv, counts = _edge_table(dof[mesh.triangles])
+    corner, tri = np.divmod(np.flatnonzero(counts[inv] == 1), mesh.num_triangles)
+    be = np.column_stack(
+        [mesh.triangles[tri, corner], mesh.triangles[tri, (corner + 1) % 3]]
     )
-    uniq, inv, counts = np.unique(
-        edge_d, axis=0, return_inverse=True, return_counts=True
-    )
-    sel = np.flatnonzero(counts[inv] == 1)
-    be = edge_v[sel]
     if len(be) == 0:
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     markers = np.full(len(be), -1, dtype=np.int64)

@@ -56,12 +56,11 @@ def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarr
 
 def boundary_mass(mesh: Mesh, markers: set[int], dof: np.ndarray, ndof: int) -> np.ndarray:
     """Lumped boundary mass vector over edges with the given markers."""
+    be = mesh.boundary_edges[np.isin(mesh.boundary_markers, list(markers))]
+    e = mesh.vertices[be[:, 0]] - mesh.vertices[be[:, 1]]
     d = np.zeros(ndof)
-    sel = np.isin(mesh.boundary_markers, list(markers))
-    for (a, b) in mesh.boundary_edges[sel]:
-        length = float(np.hypot(*(mesh.vertices[a] - mesh.vertices[b])))
-        d[dof[a]] += 0.5 * length
-        d[dof[b]] += 0.5 * length
+    # each edge adds half its length to both ends, in edge order
+    np.add.at(d, dof[be].ravel(), np.repeat(0.5 * np.hypot(e[:, 0], e[:, 1]), 2))
     return d
 
 

@@ -71,6 +71,13 @@ def test_exit_codes(capsys, tmp_path):
     )
     _, err = capsys.readouterr()
     assert json.loads(err.splitlines()[-1])["error"] == "configuration"
+    # holes with centers below the square's offset mesh and solve
+    assert (
+        main(["fem", "--domain", "torus", "--h", "0.01", "--eps", "0.05",
+              "--centers", "0.1,0.1", "0.6,0.6"])
+        == 0
+    )
+    capsys.readouterr()
 
 
 def test_sphere_caps_anchor(capsys):

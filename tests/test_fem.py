@@ -141,6 +141,22 @@ def test_assemble_partition_of_unity(annulus_mesh):
     assert float(d.sum()) == pytest.approx(3 * math.pi, rel=5e-3)
 
 
+def test_boundary_mass_matches_edge_loop(annulus_mesh, torus_mesh):
+    # the per-edge loop boundary_mass replaced, as a reference: same sums
+    # in the same order, so the vectors are equal, not just close
+    cases = ((annulus_mesh, ({0}, {1}, {0, 1})), (torus_mesh, ({0}, {0, 1})))
+    for mesh, marker_sets in cases:
+        dof, ndof = mesh.dof_map()
+        for markers in marker_sets:
+            ref = np.zeros(ndof)
+            sel = np.isin(mesh.boundary_markers, list(markers))
+            for a, b in mesh.boundary_edges[sel]:
+                length = float(np.hypot(*(mesh.vertices[a] - mesh.vertices[b])))
+                ref[dof[a]] += 0.5 * length
+                ref[dof[b]] += 0.5 * length
+            assert np.array_equal(boundary_mass(mesh, markers, dof, ndof), ref)
+
+
 def test_marker_validation(annulus_mesh):
     with pytest.raises(ConfigurationError):
         steklov_spectrum(annulus_mesh, 3, dirichlet_markers=(7,))

@@ -12,7 +12,9 @@ from steklov_tubes.fem import (
     Mesh,
     mesh_planar,
     mesh_torus_minus_disks,
+    steklov_spectrum,
 )
+from steklov_tubes.fem.mesh import _edge_table
 
 CENTERS = ((0.25, 0.25), (0.75, 0.75))
 
@@ -59,6 +61,55 @@ def test_torus_vertices_on_circles(torus_mesh):
         assert np.allclose(r, 0.05, rtol=1e-12, atol=1e-12)
 
 
+def _periodic_radii(mesh, side, center, marker):
+    idx = np.unique(mesh.boundary_edges[mesh.boundary_markers == marker].ravel())
+    d = np.abs(mesh.vertices[idx] - np.asarray(center)) % side
+    d = np.minimum(d, side - d)
+    return np.hypot(d[:, 0], d[:, 1])
+
+
+def test_translated_holes(torus_mesh):
+    # centers below the chosen square offset: hole j still carries marker j
+    # and its polygon sits on its own circle
+    layouts = (
+        (1.0, ((0.1, 0.1), (0.6, 0.6))),
+        (2.0, ((0.3, 1.7), (1.1, 0.2), (1.6, 1.2))),
+    )
+    for side, centers in layouts:
+        mesh = mesh_torus_minus_disks(side, centers, 0.05, 0.01)
+        assert mesh.euler_characteristic() == -len(centers)
+        assert set(np.unique(mesh.boundary_markers)) == set(range(len(centers)))
+        for j, c in enumerate(centers):
+            r = _periodic_radii(mesh, side, c, j)
+            assert np.allclose(r, 0.05, rtol=0.0, atol=1e-12)
+    # translating both holes leaves the spectrum alone
+    shifted = mesh_torus_minus_disks(1.0, layouts[0][1], 0.05, 0.01)
+    sigma1 = steklov_spectrum(shifted, 2)[1]
+    assert sigma1 == pytest.approx(steklov_spectrum(torus_mesh, 2)[1], rel=1e-3)
+
+
+def test_edge_table(torus_mesh):
+    # int32 labels whose keys a*n + b pass 2**31 must not wrap
+    edges, inverse, counts = _edge_table(np.array([[0, 99999, 100000]], dtype=np.int32))
+    assert edges.tolist() == [[0, 99999], [0, 100000], [99999, 100000]]
+    assert inverse.tolist() == [0, 2, 1]
+    assert counts.tolist() == [1, 1, 1]
+    # same output as the row-wise unique it replaced, on vertex and dof labels
+    dof, _ = torus_mesh.dof_map()
+    for tri in (torus_mesh.triangles, dof[torus_mesh.triangles]):
+        sides = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+        ref = np.unique(
+            np.sort(sides, axis=1),
+            axis=0,
+            return_inverse=True,
+            return_counts=True,
+        )
+        got = _edge_table(tri)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1].ravel())
+        assert np.array_equal(got[2], ref[2])
+
+
 def test_bare_torus():
     mesh = mesh_torus_minus_disks(1.0, [], 0.05, 0.01)
     mesh.validate()
@@ -98,11 +149,27 @@ def test_refinement_scales_vertex_count():
     assert 3.0 < ratio < 5.5
 
 
-def test_preconditions():
+def test_preconditions(tmp_path):
     with pytest.raises(ConfigurationError):
         mesh_torus_minus_disks(1.0, CENTERS, 0.05, 0.02)  # h >= eps/4
     with pytest.raises(ConfigurationError):
         mesh_torus_minus_disks(1.0, [(0.2, 0.2), (0.3, 0.2)], 0.05, 0.01)  # too close
+    with pytest.raises(ConfigurationError, match="holes 0 and 0"):
+        # a lone hole too close to its own periodic copy
+        mesh_torus_minus_disks(0.15, [(0.05, 0.05)], 0.05, 0.01)
+    with pytest.raises(ConfigurationError, match="holes 1 and 2 are 0.12 apart"):
+        # pairs (0, 1) and (1, 2) are both too close; the closer is named
+        mesh_torus_minus_disks(1.0, [(0.2, 0.2), (0.35, 0.2), (0.47, 0.2)], 0.05, 0.01)
+    good = tmp_path / "disk.txt"
+    mesh_planar(Disk(1.0), 0.5).save(str(good))
+    lines = good.read_text().splitlines()
+    nv, nt, _ = map(int, lines[0].split())
+    row = 1 + nv + nt
+    lines[row] = " ".join(lines[row].split()[:2])
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines))
+    with pytest.raises(ConfigurationError):
+        Mesh.load(str(bad))  # boundary row with two tokens
     with pytest.raises(ConfigurationError):
         mesh_torus_minus_disks(0.0, CENTERS, 0.05, 0.01)
     with pytest.raises(ConfigurationError):
