@@ -30,7 +30,7 @@ ratios must also respect the quasi-isometry envelope K^{+-(m+1/2)}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,14 +136,7 @@ def metric_scaling_ratio_check(
     if c <= 0:
         raise ConfigurationError(f"scaling factor must be > 0, got {c}")
     base = steklov_spectrum(mesh, count)
-    scaled_mesh = Mesh(
-        mesh.vertices * math.sqrt(c),
-        mesh.triangles,
-        mesh.boundary_edges,
-        mesh.boundary_markers,
-        mesh.periodic_pairs,
-    )
-    scaled = steklov_spectrum(scaled_mesh, count)
+    scaled = steklov_spectrum(replace(mesh, vertices=mesh.vertices * math.sqrt(c)), count)
     ratios = tuple(float(scaled[i] / base[i]) for i in range(1, count))
     expected = c ** -0.5
     k_qi = max(c, 1.0 / c)

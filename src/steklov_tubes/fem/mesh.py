@@ -26,7 +26,7 @@ with b holes that characteristic is -b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -58,6 +58,14 @@ def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.column_stack([keys // n, keys % n]), inverse, counts
 
 
+def _dof_components(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Read-only dof labels of n vertices glued by pairs, and their count."""
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), (n, n))
+    ndof, dof = connected_components(graph, directed=False)
+    dof.flags.writeable = False
+    return dof, ndof
+
+
 # Collar grading around each hole: ring spacing stays at h on a band of
 # width _COLLAR_BAND*eps, then grows proportionally to the radius
 # (s = h*r/band) until it reaches the background size.  Proportional
@@ -79,8 +87,17 @@ class Annulus:
     r_out: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Mesh:
+    """An immutable mesh that computes what it determines once.
+
+    The arrays are read-only copies of the constructor's, so a generator
+    finishes every array, the torus boundary included, before it builds
+    the mesh.  The dof map and the operators of solve.assemble are cached
+    on the instance, so every check and solve on one mesh object shares
+    them; dataclasses.replace gives a new mesh with a fresh cache.
+    """
+
     vertices: np.ndarray          # (nv, 2)
     triangles: np.ndarray         # (nt, 3), CCW
     boundary_edges: np.ndarray    # (nbe, 2) vertex indices
@@ -88,6 +105,19 @@ class Mesh:
     periodic_pairs: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 2), dtype=np.int64)
     )
+
+    def __post_init__(self):
+        for f in fields(self):
+            arr = np.array(getattr(self, f.name))
+            arr.flags.writeable = False
+            object.__setattr__(self, f.name, arr)
+        object.__setattr__(self, "_cache", {})
+
+    def cached(self, key: str, build):
+        """build(self), computed on the first call for this mesh object."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
 
     @property
     def num_vertices(self) -> int:
@@ -98,15 +128,14 @@ class Mesh:
         return len(self.triangles)
 
     def dof_map(self) -> tuple[np.ndarray, int]:
-        """Vertex -> dof indices after periodic identification.
+        """Vertex -> dof indices after periodic identification (cached).
 
         Dofs are the connected components of the periodic_pairs graph,
         numbered in order of their lowest vertex.
         """
-        n, pairs = self.num_vertices, self.periodic_pairs
-        graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), (n, n))
-        ndof, dof = connected_components(graph, directed=False)
-        return dof, ndof
+        return self.cached(
+            "dof_map", lambda m: _dof_components(m.num_vertices, m.periodic_pairs)
+        )
 
     def areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -473,18 +502,12 @@ def mesh_torus_minus_disks(
                 u = (pts[bad] - c) / d[bad, None]
                 pts[bad] = c + (eps + 0.6 * h) * u
 
+    vertices = pts + off
     triangles = _orient_ccw(pts, simp.astype(np.int64))
     pair_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    mesh = Mesh(
-        pts + off,
-        triangles,
-        np.zeros((0, 2), dtype=np.int64),
-        np.zeros(0, dtype=np.int64),
-        pair_arr,
-    )
-    mesh.boundary_edges, mesh.boundary_markers = _extract_boundary(
-        mesh, frame + off, eps
-    )
+    dof, _ = _dof_components(len(vertices), pair_arr)
+    be, markers = _extract_boundary(vertices, triangles, dof, frame + off, eps)
+    mesh = Mesh(vertices, triangles, be, markers, pair_arr)
     mesh.validate()
     chi = mesh.euler_characteristic()
     if chi != -b:
@@ -499,23 +522,24 @@ def mesh_torus_minus_disks(
 
 
 def _extract_boundary(
-    mesh: Mesh, centers: np.ndarray, eps: float
+    vertices: np.ndarray,
+    triangles: np.ndarray,
+    dof: np.ndarray,
+    centers: np.ndarray,
+    eps: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boundary edges in dof space, mapped back to owning vertex pairs.
 
-    centers are the hole centers in the mesh's own (translated) frame.
+    centers are the hole centers in the vertices' own (translated) frame.
     """
-    dof, _ = mesh.dof_map()
-    _, inv, counts = _edge_table(dof[mesh.triangles])
-    corner, tri = np.divmod(np.flatnonzero(counts[inv] == 1), mesh.num_triangles)
-    be = np.column_stack(
-        [mesh.triangles[tri, corner], mesh.triangles[tri, (corner + 1) % 3]]
-    )
+    _, inv, counts = _edge_table(dof[triangles])
+    corner, tri = np.divmod(np.flatnonzero(counts[inv] == 1), len(triangles))
+    be = np.column_stack([triangles[tri, corner], triangles[tri, (corner + 1) % 3]])
     if len(be) == 0:
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     markers = np.full(len(be), -1, dtype=np.int64)
-    mids = 0.5 * (mesh.vertices[be[:, 0]] + mesh.vertices[be[:, 1]])
-    ends = np.stack([mesh.vertices[be[:, 0]], mesh.vertices[be[:, 1]]])
+    mids = 0.5 * (vertices[be[:, 0]] + vertices[be[:, 1]])
+    ends = np.stack([vertices[be[:, 0]], vertices[be[:, 1]]])
     for j, c in enumerate(centers):
         on_circle = np.all(
             np.abs(np.hypot(*(ends - c).transpose(2, 0, 1)) - eps) < 1e-9 * (1 + eps),

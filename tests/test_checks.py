@@ -7,6 +7,8 @@ the collar energy bound, and indicator-like profiles stress the
 two-region Poincare gap.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from steklov_tubes.fem.checks import (
     metric_scaling_ratio_check,
     poincare_check,
 )
+from steklov_tubes.fem import solve
 from steklov_tubes.fem.solve import assemble
 from steklov_tubes.radial import RadialMode, sigma_mixed
 
@@ -121,3 +124,20 @@ def test_scaling_ratio(disk_mesh):
 
     with pytest.raises(ConfigurationError):
         metric_scaling_ratio_check(disk_mesh, 0.0)
+
+
+def test_checks_assemble_once_per_mesh(disk_mesh, monkeypatch):
+    built = []
+    real = solve._assemble
+    monkeypatch.setattr(solve, "_assemble", lambda mesh: built.append(mesh) or real(mesh))
+    mesh = dataclasses.replace(disk_mesh)
+    xy, _ = _dof_coords(mesh)
+    for k in range(5):
+        f = xy[:, 0] ** k + xy[:, 1]
+        assert dirichlet_energy_check(mesh, f, 1.0, marker=1).holds
+    assert built == [mesh]
+    # the scaled mesh is a new object: assembled on its own, and its
+    # power-of-two scaling gives the ratios c^{-1/2} to rounding
+    res = metric_scaling_ratio_check(mesh, 4.0)
+    assert len(built) == 2 and built[1] is not mesh
+    assert res.ratios == pytest.approx((0.5,) * 5, rel=1e-13)

@@ -7,14 +7,18 @@ and SD model families.  The bare unit torus has Neumann spectrum
 4 pi^2 (p^2 + q^2) with multiplicity 4 at the first gap.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from steklov_tubes.acceptance import TORUS_CENTERS
-from steklov_tubes.errors import ConfigurationError
+from steklov_tubes.cli import main
+from steklov_tubes.errors import ConfigurationError, NumericalError
 from steklov_tubes.fem import (
     Disk,
     mesh_planar,
@@ -22,7 +26,8 @@ from steklov_tubes.fem import (
     neumann_spectrum,
     steklov_spectrum,
 )
-from steklov_tubes.fem.solve import assemble, boundary_mass
+from steklov_tubes.fem import solve
+from steklov_tubes.fem.solve import _pencil_eigs, assemble, boundary_mass
 from steklov_tubes.radial import RadialMode, sigma_annulus_pair, sigma_mixed
 
 
@@ -128,6 +133,57 @@ def test_steklov_zero_mode_not_negative(eps, h):
     # K and D are semidefinite, so rounding must not push sigma_0 below 0
     vals = steklov_spectrum(mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, h), 1)
     assert 0.0 <= vals[0] <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def small_torus():
+    return mesh_torus_minus_disks(1.0, TORUS_CENTERS, 0.05, 0.012)
+
+
+@pytest.mark.parametrize("problem", ["steklov", "neumann"])
+def test_torus_pencil_matches_dense(small_torus, problem):
+    # the unpivoted symmetric factorization on a periodic mesh, against a
+    # dense eigh of the same pencil: Neumann K u = lam M u directly, and
+    # Steklov (D singular) as D u = mu (K + tau D) u with lam = 1/mu - tau
+    mesh = small_torus
+    K, M, dof, ndof = assemble(mesh)
+    if problem == "neumann":
+        vals = neumann_spectrum(mesh, 8)
+        ref = scipy.linalg.eigh(
+            K.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, 7]
+        )
+    else:
+        vals = steklov_spectrum(mesh, 8)
+        d = boundary_mass(mesh, {0, 1}, dof, ndof)
+        tau = 1.0 / d.sum()
+        mu = scipy.linalg.eigh(
+            np.diag(d),
+            K.toarray() + tau * np.diag(d),
+            eigvals_only=True,
+            subset_by_index=[ndof - 8, ndof - 1],
+        )
+        ref = 1.0 / mu[::-1] - tau
+    assert list(vals) == pytest.approx(list(ref), rel=1e-10, abs=1e-10)
+
+
+def test_pencil_failures_are_numerical(monkeypatch, capsys):
+    # K = 0 and B = diag(1, 0, 1, ...): A = tau B is singular, and the
+    # factorization without pivoting reports it
+    n = 10
+    b = np.ones(n)
+    b[1] = 0.0
+    with pytest.raises(NumericalError, match="singular"):
+        _pencil_eigs(sparse.csr_matrix((n, n)), sparse.diags(b), 2, 1.0)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((n, 0)))
+
+    monkeypatch.setattr(solve, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="No convergence"):
+        _pencil_eigs(sparse.eye(n, format="csr"), sparse.eye(n, format="csr"), 2, 1.0)
+    # and the CLI exits 2 instead of raising
+    assert main(["fem", "--domain", "disk", "--h", "0.2", "--count", "4"]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "numerical"
 
 
 def test_assemble_partition_of_unity(annulus_mesh):

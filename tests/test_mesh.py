@@ -1,5 +1,6 @@
 """Mesh generators: topology, boundary bookkeeping, file round-trip."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from steklov_tubes.fem import (
     steklov_spectrum,
 )
 from steklov_tubes.fem.mesh import _edge_table
+from steklov_tubes.fem.solve import assemble
 
 CENTERS = ((0.25, 0.25), (0.75, 0.75))
 
@@ -108,6 +110,36 @@ def test_edge_table(torus_mesh):
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1].ravel())
         assert np.array_equal(got[2], ref[2])
+
+
+def test_mesh_is_immutable(torus_mesh):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        torus_mesh.vertices = torus_mesh.vertices + 1.0
+    K, M, dof, _ = assemble(torus_mesh)
+    arrays = [getattr(torus_mesh, f.name) for f in dataclasses.fields(torus_mesh)]
+    arrays += [dof, K.data, K.indices, K.indptr, M.data]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    # the mesh holds copies, so the caller's arrays stay writable and apart
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = Mesh(verts, np.array([[0, 1, 2]]), np.array([[0, 1]]), np.array([1]))
+    verts[0] = 5.0
+    assert mesh.vertices[0].tolist() == [0.0, 0.0]
+
+
+def test_operators_cached_per_mesh(annulus_mesh):
+    first = assemble(annulus_mesh)
+    assert all(a is b for a, b in zip(first, assemble(annulus_mesh)))
+    assert annulus_mesh.dof_map()[0] is first[2]
+    # a copy of the mesh is a new object with its own, equal, operators
+    copy = dataclasses.replace(annulus_mesh)
+    fresh = assemble(copy)
+    assert fresh[0] is not first[0]
+    for a, b in zip(first[:2], fresh[:2]):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr))
+    assert np.array_equal(first[2], fresh[2]) and first[3] == fresh[3]
 
 
 def test_bare_torus():
