@@ -26,7 +26,6 @@ from .harmonics import (
     transverse_spectrum,
 )
 from .radial import (
-    MixedSpectrum,
     RadialMode,
     mixed_spectrum,
     sigma_annulus_pair,

@@ -9,8 +9,10 @@ the Steklov spectrum of the ambient domain with the tubes removed:
 
 with the SN list 0-indexed (it starts with b zeros, one per tube) and
 the SD list 1-indexed (its smallest value is called sigma_1).  bracket()
-returns that pair for every ell up to ell_max, from one certified SN and
-one certified SD spectrum.
+returns that pair for every ell up to ell_max, from one SN and one SD
+listing.  Each collar lists its modes as an ascending stream (see
+radial.mixed_spectrum), and truncated_spectrum merges the b streams, so
+only the listed modes and their frontier are ever evaluated.
 
 predicted_limit encodes the small-eps behaviour of an individual mode:
 eps * sigma -> m - n - 2 + q, except that for q = 0 on a codimension-2
@@ -21,8 +23,9 @@ eps sweep by Richardson extrapolation in eps.
 
 from __future__ import annotations
 
-import dataclasses
+import heapq
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import radial
@@ -31,8 +34,6 @@ from .harmonics import ExcisionScenario, ModeEigenvalue, transverse_spectrum
 
 DELTA_DEFAULT = 0.5
 
-_KQ_CAP = 256
-
 
 def family(
     scenario: ExcisionScenario,
@@ -40,61 +41,26 @@ def family(
     eps: float,
     delta: float,
     outer: str,
-    k_max: int,
-    q_max: int,
-) -> radial.MixedSpectrum:
-    """Mode family of submanifold j on its model annulus [eps, delta]."""
+) -> Iterator[ModeEigenvalue]:
+    """Ascending mode stream of submanifold j on its model annulus [eps, delta].
+
+    The transverse spectrum of N_j is computed as far as the stream
+    reads it (each k once, in order), doubling the list when it runs out.
+    """
     if not (0 <= j < scenario.b):
         raise ValueError(f"submanifold index {j} out of range 0..{scenario.b - 1}")
-    sub = scenario.submanifolds[j]
-    d = scenario.sphere_dim(j)
-    trans = transverse_spectrum(sub.kind, k_max + 2)
-    if len(trans) > k_max + 1:
-        next_lam = trans[k_max + 1][0]
-        trans = trans[: k_max + 1]
-    else:
-        next_lam = None  # transverse spectrum exhausted (a point)
-    spec = radial.mixed_spectrum(d, trans, eps, delta, outer, q_max, next_lam)
-    modes = tuple(dataclasses.replace(mode, j=j) for mode in spec.modes)
-    return radial.MixedSpectrum(
-        modes=modes,
-        omitted_lower_bound=spec.omitted_lower_bound,
-        complete=spec.complete,
+    kind = scenario.submanifolds[j].kind
+    known: list[tuple[float, int]] = []
+
+    def transverse(k: int) -> tuple[float, int] | None:
+        nonlocal known
+        if k >= len(known):
+            known = transverse_spectrum(kind, 2 * k + 1)
+        return known[k] if k < len(known) else None  # None: a point ends at k = 0
+
+    return radial.mixed_spectrum(
+        scenario.sphere_dim(j), transverse, eps, delta, outer, j
     )
-
-
-def _merged(
-    scenario: ExcisionScenario,
-    eps: float,
-    delta: float,
-    outer: str,
-    k_max: int,
-    q_max: int,
-    drop_zeros: bool,
-) -> tuple[list[ModeEigenvalue], float]:
-    entries: list[ModeEigenvalue] = []
-    bound = math.inf
-    for j in range(scenario.b):
-        fam = family(scenario, j, eps, delta, outer, k_max, q_max)
-        entries.extend(fam.modes)
-        bound = min(bound, fam.omitted_lower_bound)
-    if drop_zeros:
-        entries = [m for m in entries if not (m.k == 0 and m.q == 0)]
-    entries.sort(key=lambda m: (m.value, m.j, m.k, m.q))
-    return entries, bound
-
-
-def _truncate_certified(
-    entries: list[ModeEigenvalue], bound: float, count: int
-) -> list[ModeEigenvalue] | None:
-    out = []
-    cum = 0
-    for m in entries:
-        out.append(m)
-        cum += m.multiplicity
-        if cum >= count:
-            return out if m.value < bound else None
-    return None
 
 
 def truncated_spectrum(
@@ -107,14 +73,15 @@ def truncated_spectrum(
     q_max: int | None = None,
     include_zero_modes: bool = False,
 ) -> list[ModeEigenvalue]:
-    """First eigenvalues of the merged family, certified complete.
+    """First eigenvalues of the merged family, in ascending order.
 
     family_kind is "SN" or "SD".  For SN the b zero modes (k = q = 0,
     one per submanifold) are removed unless include_zero_modes is set.
-    Entries are grouped by mode and carry multiplicities; the list is
-    truncated once the cumulative multiplicity reaches count.  With
-    explicit k_max/q_max a window too small to certify completeness
-    raises CompletenessError; left as None the window grows as needed.
+    The b ordered collar streams are merged by (value, j, k, q), and
+    the list ends once the cumulative multiplicity reaches count, so it
+    is the true beginning of the spectrum.
+    k_max/q_max cap the walk: a listed mode beyond a cap raises
+    CompletenessError.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -122,26 +89,22 @@ def truncated_spectrum(
         raise ValueError(f"family_kind must be 'SN' or 'SD', got {family_kind!r}")
     outer = "Dirichlet" if family_kind == "SD" else "Neumann"
     drop = family_kind == "SN" and not include_zero_modes
-    explicit = k_max is not None or q_max is not None
-    kw = 6 if k_max is None else k_max
-    qw = 6 if q_max is None else q_max
-    while True:
-        entries, bound = _merged(scenario, eps, delta, outer, kw, qw, drop)
-        got = _truncate_certified(entries, bound, count)
-        if got is not None:
-            return got
-        if explicit:
+    streams = [family(scenario, j, eps, delta, outer) for j in range(scenario.b)]
+    out: list[ModeEigenvalue] = []
+    cum = 0
+    for m in heapq.merge(*streams, key=lambda m: (m.value, m.j, m.k, m.q)):
+        if drop and m.k == 0 and m.q == 0:
+            continue
+        if (k_max is not None and m.k > k_max) or (q_max is not None and m.q > q_max):
             raise CompletenessError(
-                f"k_max={kw}, q_max={qw} cannot certify the first {count} "
+                f"k_max={k_max}, q_max={q_max} cannot certify the first {count} "
                 f"{family_kind} eigenvalues at eps={eps}"
             )
-        if kw >= _KQ_CAP and qw >= _KQ_CAP:
-            raise CompletenessError(
-                f"window cap reached certifying {count} {family_kind} "
-                f"eigenvalues at eps={eps}"
-            )
-        kw = min(2 * kw, _KQ_CAP)
-        qw = min(2 * qw, _KQ_CAP)
+        out.append(m)
+        cum += m.multiplicity
+        if cum >= count:
+            return out
+    raise AssertionError("mode streams never end")
 
 
 def expand_values(entries: list[ModeEigenvalue], count: int) -> list[float]:
@@ -164,10 +127,10 @@ def bracket(
 
     Returns the pairs (sigma_ell^SN(A), sigma_{ell+1}^SD(A)) for
     ell = 0..ell_max, with the index conventions from the module
-    docstring; ell = 0 gives (0, sigma_1^SD).  Each family is certified
-    once at ell_max + 1 values: a certified list ends below the omitted
-    lower bound, so a larger window adds no value at an index <= ell and
-    every pair equals the one certified at ell + 1 values alone.
+    docstring; ell = 0 gives (0, sigma_1^SD).  Each family is listed
+    once, at ell_max + 1 values: a listing is a prefix of the ordered
+    mode stream, so every pair equals the one listed at ell + 1 values
+    alone.
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be >= 0, got {ell_max}")

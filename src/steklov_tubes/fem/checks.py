@@ -19,8 +19,8 @@ poincare_check: for disjoint triangle subsets V_1, V_2,
 
     ||grad f||^2  >=  (lambda_1/2) min(|V_1|, |V_2|) (mean_1 - mean_2)^2,
 
-with lambda_1 the mesh's own first nonzero Neumann eigenvalue and means
-taken against area measure.
+with lambda_1 the mesh's own first nonzero Neumann eigenvalue (solved
+once per mesh unless supplied) and means taken against area measure.
 
 metric_scaling_ratio_check: scaling the flat metric by c multiplies
 every Steklov eigenvalue by c^{-1/2} exactly in two dimensions; the
@@ -100,7 +100,7 @@ def poincare_check(
     if f.shape != (ndof,):
         raise ConfigurationError(f"f must have shape ({ndof},), got {f.shape}")
     if lambda1 is None:
-        lambda1 = float(neumann_spectrum(mesh, 2)[1])
+        lambda1 = mesh.cached("lambda1", lambda m: float(neumann_spectrum(m, 2)[1]))
     areas = mesh.areas()
     fd = f[dof[mesh.triangles]]
 

@@ -93,9 +93,10 @@ class Mesh:
 
     The arrays are read-only copies of the constructor's, so a generator
     finishes every array, the torus boundary included, before it builds
-    the mesh.  The dof map and the operators of solve.assemble are cached
-    on the instance, so every check and solve on one mesh object shares
-    them; dataclasses.replace gives a new mesh with a fresh cache.
+    the mesh.  The dof map, the operators of solve.assemble and the
+    lambda_1 of checks.poincare_check are cached on the instance, so
+    every check and solve on one mesh object shares them;
+    dataclasses.replace gives a new mesh with a fresh cache.
     """
 
     vertices: np.ndarray          # (nv, 2)

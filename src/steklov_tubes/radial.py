@@ -17,6 +17,10 @@ the substitution a(r) = r^{-s} w(sqrt(lam) r), s = (d-1)/2, turns the
 equation into the modified Bessel equation of order nu = q + s, and the
 exponentially scaled kernels keep every intermediate O(1).
 
+mixed_spectrum lists the modes of one collar in ascending order by a
+best-first walk of the (k, q) lattice, evaluating only the modes it
+lists and their frontier.
+
 sigma_annulus_pair treats the genuine Steklov problem on a flat annulus
 (Steklov condition on both circles).  Its determinant is a quadratic
 polynomial in sigma, so the two eigenvalues per mode come from one
@@ -25,7 +29,9 @@ exact quadratic solve rather than a root search.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +94,12 @@ def _sigma_bessel(mode: RadialMode, eps: float, delta: float, outer: str) -> flo
     nu = mode.nu
     rt = math.sqrt(mode.lam)
     x1, x2 = rt * eps, rt * delta
+    if nu > bessel.NU_MAX or x2 > bessel.X_MAX:
+        raise NumericalError(
+            f"mode {mode} is outside the Bessel kernel range (order <= "
+            f"{bessel.NU_MAX}, sqrt(lam) * delta <= {bessel.X_MAX}) at "
+            f"eps={eps}, delta={delta}"
+        )
 
     ie1, ke1 = bessel.iv_scaled(nu, x1), bessel.kv_scaled(nu, x1)
     ip1, kp1 = bessel.iv_prime_scaled(nu, x1), bessel.kv_prime_scaled(nu, x1)
@@ -241,75 +253,50 @@ def sigma_annulus_pair(
 
 
 # ---------------------------------------------------------------------------
-# truncated mode spectra
-
-
-@dataclass(frozen=True)
-class MixedSpectrum:
-    """Sorted mode eigenvalues plus a completeness certificate.
-
-    omitted_lower_bound is a lower bound for every mode outside the
-    (k_max, q_max) truncation window; complete means all returned values
-    lie strictly below it, so the list is the true beginning of the
-    spectrum.
-    """
-
-    modes: tuple[ModeEigenvalue, ...]
-    omitted_lower_bound: float
-    complete: bool
-
-
-def _safe_sigma(mode: RadialMode, eps: float, delta: float, outer: str) -> float:
-    # Off-window probes may exceed the kernel domain; such modes are far
-    # above anything retained, so +inf is the honest stand-in.
-    try:
-        return sigma_mixed(mode, eps, delta, outer)
-    except (ValueError, NumericalError):
-        return math.inf
+# ordered mode streams
 
 
 def mixed_spectrum(
     d: int,
-    transverse: list[tuple[float, int]],
+    transverse: Callable[[int], tuple[float, int] | None],
     eps: float,
     delta: float,
     outer: str,
-    q_max: int,
-    next_lam: float | None = None,
-) -> MixedSpectrum:
-    """All mode eigenvalues with k <= len(transverse)-1, q <= q_max.
+    j: int,
+) -> Iterator[ModeEigenvalue]:
+    """Every mode eigenvalue of one collar, ascending in (value, k, q).
 
-    transverse lists (lambda_k, multiplicity) for the transverse
-    eigenvalues to include; next_lam is lambda_{k_max+1} (None when the
-    transverse spectrum is exhausted, e.g. a point).  Multiplicities are
-    mult(lambda_k) * mult(q).  Ties are ordered by (k, q).
+    transverse(k) gives (lambda_k, multiplicity), or None past the end
+    of the transverse spectrum (a point has k = 0 only).  Multiplicities
+    are mult(lambda_k) * mult(q), and every mode carries submanifold
+    index j.  The stream never ends; the caller stops reading it.
+
+    sigma is nondecreasing in lam and in q, so the (k, q) lattice is
+    walked best first from (0, 0): popping (k, q) pushes (k, q + 1),
+    and (k + 1, 0) when q = 0.  Each mode has exactly one way in, and
+    nothing pushed later is smaller than what was popped.  A mode is
+    evaluated when it is pushed, so only the listed modes and their
+    frontier ever reach the kernel.
     """
     _check_radii(eps, delta)
-    if q_max < 0:
-        raise ValueError(f"q_max must be >= 0, got {q_max}")
     family = "SD" if outer == "Dirichlet" else "SN"
-    entries = []
-    for k, (lam, mult_k) in enumerate(transverse):
-        for q in range(q_max + 1):
-            value = sigma_mixed(RadialMode(d, q, lam), eps, delta, outer)
-            entries.append(
-                ModeEigenvalue(
-                    value=value,
-                    j=0,
-                    k=k,
-                    q=q,
-                    multiplicity=mult_k * sphere_multiplicity(d, q),
-                    family=family,
-                )
-            )
-    entries.sort(key=lambda m: (m.value, m.k, m.q))
+    heap: list[tuple[float, int, int, float, int]] = []
 
-    # sigma is monotone in both lam and the angular potential, so the
-    # cheapest omitted modes sit just outside the window edges.
-    bound = _safe_sigma(RadialMode(d, q_max + 1, transverse[0][0]), eps, delta, outer)
-    if next_lam is not None:
-        bound = min(bound, _safe_sigma(RadialMode(d, 0, next_lam), eps, delta, outer))
-    complete = bool(entries) and entries[-1].value < bound
-    return MixedSpectrum(
-        modes=tuple(entries), omitted_lower_bound=bound, complete=complete
-    )
+    def push(k: int, q: int, lam: float, mult_k: int) -> None:
+        value = sigma_mixed(RadialMode(d, q, lam), eps, delta, outer)
+        heapq.heappush(heap, (value, k, q, lam, mult_k))
+
+    push(0, 0, *transverse(0))
+    while True:
+        value, k, q, lam, mult_k = heapq.heappop(heap)
+        yield ModeEigenvalue(
+            value=value,
+            j=j,
+            k=k,
+            q=q,
+            multiplicity=mult_k * sphere_multiplicity(d, q),
+            family=family,
+        )
+        push(k, q + 1, lam, mult_k)
+        if q == 0 and (following := transverse(k + 1)) is not None:
+            push(k + 1, 0, *following)

@@ -32,6 +32,7 @@ the boundary layer and miss the target accuracy by orders of magnitude.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -120,39 +121,33 @@ class CapMode:
 def full_spectrum(eps: float, count: int) -> list[CapMode]:
     """First eigenvalues of the band, grouped by mode, ascending.
 
-    Truncated once the cumulative multiplicity reaches count.  sigma_n^-
-    is strictly increasing in n, so raising the mode cap until
-    sigma_{n_cap+1}^- exceeds the candidate cutoff certifies that no
-    mode was missed.
+    Truncated once the cumulative multiplicity reaches count.  With
+    a = log cot(eps/2), sin(eps) sigma_n^- = n tanh(n a) and
+    sin(eps) sigma_n^+ = n coth(n a) both increase with n (the odd branch
+    from sigma_zero, its n -> 0 limit), so merging the even and the odd
+    stream by (value, n, parity) lists the modes in order.  A list that
+    needs more than a mode at n = N_MAX raises CompletenessError.
     """
     _check_eps(eps)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    n_cap = 8
-    while True:
-        modes = [
-            CapMode(0.0, 0, "even", 1),
-            CapMode(sigma_zero(eps), 0, "odd", 1),
-        ]
-        for n in range(1, n_cap + 1):
-            lo, hi = sigma_pm(n, eps)
-            modes.append(CapMode(lo, n, "even", 2))
-            modes.append(CapMode(hi, n, "odd", 2))
-        modes.sort(key=lambda m: (m.value, m.n, m.parity))
-        out = []
-        cum = 0
-        for m in modes:
-            out.append(m)
-            cum += m.multiplicity
-            if cum >= count:
-                break
-        if cum >= count and out[-1].value < sigma_pm(n_cap + 1, eps)[0]:
+
+    def branch(parity: str, sigma_0: float, side: int):
+        yield CapMode(sigma_0, 0, parity, 1)
+        for n in range(1, N_MAX + 1):
+            yield CapMode(sigma_pm(n, eps)[side], n, parity, 2)
+
+    out = []
+    cum = 0
+    streams = (branch("even", 0.0, 0), branch("odd", sigma_zero(eps), 1))
+    for m in heapq.merge(*streams, key=lambda m: (m.value, m.n, m.parity)):
+        out.append(m)
+        cum += m.multiplicity
+        if cum >= count:
             return out
-        if n_cap >= N_MAX:
-            raise CompletenessError(
-                f"cannot certify {count} eigenvalues with modes up to {N_MAX}"
-            )
-        n_cap = min(2 * n_cap, N_MAX - 1)
+        if m.n == N_MAX:
+            break
+    raise CompletenessError(f"the first {count} eigenvalues need modes past n = {N_MAX}")
 
 
 # ---------------------------------------------------------------------------

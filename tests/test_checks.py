@@ -141,3 +141,21 @@ def test_checks_assemble_once_per_mesh(disk_mesh, monkeypatch):
     res = metric_scaling_ratio_check(mesh, 4.0)
     assert len(built) == 2 and built[1] is not mesh
     assert res.ratios == pytest.approx((0.5,) * 5, rel=1e-13)
+
+
+def test_poincare_solves_lambda1_once_per_mesh(disk_mesh, monkeypatch):
+    solves = []
+    real = solve._pencil_eigs
+    monkeypatch.setattr(
+        solve, "_pencil_eigs", lambda *args, **kw: solves.append(1) or real(*args, **kw)
+    )
+    mesh = dataclasses.replace(disk_mesh)
+    xy, _ = _dof_coords(mesh)
+    first = poincare_check(mesh, xy[:, 0], np.arange(0, 40), np.arange(40, 80))
+    second = poincare_check(mesh, xy[:, 1], np.arange(0, 40), np.arange(40, 80))
+    assert len(solves) == 1
+    assert first.holds and second.holds
+    # the cached lambda_1 is the one a caller would pass
+    lambda1 = float(solve.neumann_spectrum(mesh, 2)[1])
+    again = poincare_check(mesh, xy[:, 0], np.arange(0, 40), np.arange(40, 80), lambda1)
+    assert again == first

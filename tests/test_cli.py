@@ -71,6 +71,14 @@ def test_exit_codes(capsys, tmp_path):
     )
     _, err = capsys.readouterr()
     assert json.loads(err.splitlines()[-1])["error"] == "configuration"
+    # a listed mode past the Bessel kernel's range is a numerical failure
+    circle = str(SCENARIOS / "torus3-circle.json")
+    assert (
+        main(["model-spectrum", "--scenario", circle, "--eps", "0.001", "--count", "3000"])
+        == 2
+    )
+    _, err = capsys.readouterr()
+    assert json.loads(err.splitlines()[-1])["error"] == "numerical"
     # holes with centers below the square's offset mesh and solve
     assert (
         main(["fem", "--domain", "torus", "--h", "0.01", "--eps", "0.05",

@@ -1,6 +1,7 @@
 """Merged mode families, bracketing, and rate extrapolation."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -19,13 +20,18 @@ from steklov_tubes.families import (
 from steklov_tubes.harmonics import (
     Circle,
     ExcisionScenario,
+    ModeEigenvalue,
     Point,
     RoundSphere,
     SubmanifoldSpec,
+    load_scenario,
+    sphere_multiplicity,
+    transverse_spectrum,
 )
 from steklov_tubes.radial import RadialMode, sigma_mixed
 
 PI = math.pi
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def torus_points() -> ExcisionScenario:
@@ -72,6 +78,70 @@ def test_truncated_spectrum_errors():
     # an explicit window too small to certify must refuse, not truncate
     with pytest.raises(CompletenessError):
         truncated_spectrum(circle_scenario(), 0.1, 0.5, 40, k_max=1, q_max=1)
+
+
+def window_spectrum(scenario, eps, delta, count, family_kind, include_zero_modes):
+    """The window algorithm the ordered walk replaced, kept as a reference.
+
+    Evaluates every mode with k <= kw, q <= qw, sorts, and accepts the
+    first count values once the last lies below the cheapest modes just
+    outside the window; otherwise doubles both kw and qw and starts over.
+    """
+    outer = "Dirichlet" if family_kind == "SD" else "Neumann"
+    drop = family_kind == "SN" and not include_zero_modes
+    kw = qw = 6
+    while True:
+        entries, bound = [], math.inf
+        for j, sub in enumerate(scenario.submanifolds):
+            d = scenario.sphere_dim(j)
+            trans = transverse_spectrum(sub.kind, kw + 2)
+            for k, (lam, mult_k) in enumerate(trans[: kw + 1]):
+                for q in range(qw + 1):
+                    if drop and k == q == 0:
+                        continue
+                    value = sigma_mixed(RadialMode(d, q, lam), eps, delta, outer)
+                    mult = mult_k * sphere_multiplicity(d, q)
+                    entries.append(ModeEigenvalue(value, j, k, q, mult, family_kind))
+            probes = [RadialMode(d, qw + 1, 0.0)]
+            if len(trans) > kw + 1:
+                probes.append(RadialMode(d, 0, trans[kw + 1][0]))
+            for mode in probes:
+                bound = min(bound, sigma_mixed(mode, eps, delta, outer))
+        entries.sort(key=lambda m: (m.value, m.j, m.k, m.q))
+        cum = 0
+        for i, m in enumerate(entries):
+            cum += m.multiplicity
+            if cum >= count:
+                break
+        if cum >= count and m.value < bound:
+            return entries[: i + 1]
+        kw, qw = 2 * kw, 2 * qw
+
+
+@pytest.mark.parametrize("name", ["torus-2-points", "sphere-2-points", "torus3-circle"])
+def test_walk_matches_window_reference(name):
+    scenario = load_scenario(str(SCENARIOS / f"{name}.json"))
+    for family_kind, zeros in (("SN", False), ("SN", True), ("SD", False)):
+        for eps in (0.1, 0.01, 0.001):
+            for count in (1, 7, 40):
+                args = (scenario, eps, DELTA_DEFAULT, count, family_kind)
+                want = window_spectrum(*args, zeros)
+                assert truncated_spectrum(*args, include_zero_modes=zeros) == want
+
+
+def test_caps_refuse_modes_beyond():
+    # an explicit cap passes when the listing stays inside it and refuses
+    # as soon as a listed mode lies beyond it
+    scenario = torus3_circle()
+    free = truncated_spectrum(scenario, 0.01, DELTA_DEFAULT, 40, "SD")
+    k_top = max(m.k for m in free)
+    q_top = max(m.q for m in free)
+    capped = truncated_spectrum(scenario, 0.01, DELTA_DEFAULT, 40, "SD", k_top, q_top)
+    assert capped == free
+    with pytest.raises(CompletenessError, match="k_max=None"):
+        truncated_spectrum(scenario, 0.01, DELTA_DEFAULT, 40, "SD", q_max=q_top - 1)
+    with pytest.raises(CompletenessError, match="q_max=None"):
+        truncated_spectrum(scenario, 0.01, DELTA_DEFAULT, 40, "SD", k_max=k_top - 1)
 
 
 def torus3_circle() -> ExcisionScenario:

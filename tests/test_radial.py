@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from steklov_tubes.errors import NumericalError
+from steklov_tubes.harmonics import sphere_multiplicity
 from steklov_tubes.radial import (
+    OUTER_CONDITIONS,
     RadialMode,
     mixed_spectrum,
     sigma_annulus_pair,
@@ -157,31 +159,69 @@ def test_sn_log_normalizer_product():
         sn_log_normalizer(0.0, 1e-3, 0.5)
 
 
-def test_mixed_spectrum_structure():
-    trans = [(0.0, 1), (1.0, 2), (4.0, 2)]  # circle of length 2 pi
-    spec = mixed_spectrum(1, trans, 0.1, 0.5, "Neumann", q_max=3, next_lam=9.0)
-    values = [m.value for m in spec.modes]
-    assert values == sorted(values)
-    # the k-window cut leaves a low omitted mode, so the whole list is
-    # honestly not certified; the certified prefix is everything below
-    # the omitted bound
-    assert not spec.complete
-    prefix = [m for m in spec.modes if m.value < spec.omitted_lower_bound]
-    assert 0 < len(prefix) < len(spec.modes)
-    # multiplicities multiply: k = 1 (mult 2) with q = 1 (mult 2 on S^1)
-    picked = [m for m in spec.modes if m.k == 1 and m.q == 1]
-    assert len(picked) == 1 and picked[0].multiplicity == 4
-    # SN zero mode present with value 0
-    zero = [m for m in spec.modes if m.k == 0 and m.q == 0]
-    assert len(zero) == 1 and zero[0].value == 0.0
+def _stream(d, transverse, outer, count):
+    def lookup(k):
+        return transverse[k] if k < len(transverse) else None
+
+    stream = mixed_spectrum(d, lookup, 0.1, 0.5, outer, j=3)
+    return [next(stream) for _ in range(count)]
 
 
-def test_mixed_spectrum_point_complete():
-    # a point exhausts its transverse spectrum, so a pure q window is
-    # certified: sigma grows with q
-    spec = mixed_spectrum(3, [(0.0, 1)], 0.1, 0.5, "Neumann", q_max=8, next_lam=None)
-    assert spec.complete
-    assert all(m.value < spec.omitted_lower_bound for m in spec.modes)
+def test_mixed_spectrum_stream():
+    # a circle of length 2 pi, and a point, which has k = 0 only
+    circle = [(float(k * k), 1 if k == 0 else 2) for k in range(40)]
+    for d, transverse in ((1, circle), (2, [(0.0, 1)])):
+        for outer in OUTER_CONDITIONS:
+            modes = _stream(d, transverse, outer, 60)
+            keys = [(m.value, m.k, m.q) for m in modes]
+            assert keys == sorted(keys)
+            assert len(set((m.k, m.q) for m in modes)) == len(modes)
+            for m in modes:
+                assert m.j == 3
+                assert m.multiplicity == transverse[m.k][1] * sphere_multiplicity(d, m.q)
+                assert m.value == sigma_mixed(
+                    RadialMode(d, m.q, transverse[m.k][0]), 0.1, 0.5, outer
+                )
+            zeros = [m for m in modes if m.value == 0.0]
+            assert len(zeros) == (outer == "Neumann")
+            if zeros:
+                assert (zeros[0].k, zeros[0].q) == (0, 0) and modes[0] is zeros[0]
+
+
+def _draws(rng, n):
+    """Random modes (d, q, lam) and collars (eps, delta) inside the kernel range."""
+    for _ in range(n):
+        d = int(rng.integers(1, 5))
+        q = int(rng.integers(0, 40))
+        lam = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-2.0, 4.0))
+        eps = 10.0 ** rng.uniform(-4.0, -0.5)
+        delta = min(eps * 10.0 ** rng.uniform(0.1, 3.0), 1.0)
+        if eps < delta:
+            yield d, q, lam, eps, delta
+
+
+def test_walk_assumptions():
+    # the ordered walk lists modes in order only because sigma is
+    # nondecreasing in q and in lam; SN <= SD makes the bracket a bracket
+    rng = np.random.default_rng(20)
+    for d, q, lam, eps, delta in _draws(rng, 600):
+        outer = OUTER_CONDITIONS[int(rng.integers(0, 2))]
+        base = sigma_mixed(RadialMode(d, q, lam), eps, delta, outer)
+        assert base <= sigma_mixed(RadialMode(d, q + 1, lam), eps, delta, outer)
+        bigger = lam + float(10.0 ** rng.uniform(-3.0, 3.0))
+        above = sigma_mixed(RadialMode(d, q, bigger), eps, delta, outer)
+        assert base <= above * (1.0 + 1e-13)
+        sn = sigma_mixed(RadialMode(d, q, lam), eps, delta, "Neumann")
+        sd = sigma_mixed(RadialMode(d, q, lam), eps, delta, "Dirichlet")
+        assert sn <= sd * (1.0 + 1e-14)
+
+
+def test_kernel_range_is_numerical():
+    # an order past the Bessel ceiling is a kernel limit, not bad input
+    with pytest.raises(NumericalError, match="RadialMode"):
+        sigma_mixed(RadialMode(1, 51, 1.0), 0.01, 0.5, "Neumann")
+    with pytest.raises(NumericalError):
+        sigma_mixed(RadialMode(1, 0, 4e6), 0.01, 0.5, "Dirichlet")
 
 
 def test_argument_validation():

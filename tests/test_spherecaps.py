@@ -6,10 +6,15 @@ sigma_n^-+ = n (1 -+ T)/(sin eps (1 +- T)), T = tan^{2n}(eps/2).
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from steklov_tubes.errors import CompletenessError
 from steklov_tubes.spherecaps import (
+    N_MAX,
     CapMode,
     determinant_residual,
     full_spectrum,
@@ -71,6 +76,26 @@ def test_full_spectrum_ordering():
     values10 = [m.value for m in full_spectrum(0.3, 10)]
     lo, hi = sigma_pm(2, 0.3)
     assert lo in values10 and hi in values10
+
+
+def test_full_spectrum_mode_cap():
+    # requests that need modes up to N_MAX once ran forever; in a
+    # subprocess with a timeout a hang fails instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "steklov_tubes.cli", "sphere-caps",
+         "--eps", "1.55", "--count", "100"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # both lists end with the last mode there is, n = N_MAX, even
+    modes = full_spectrum(0.1, 199)
+    assert (modes[-1].n, modes[-1].parity) == (N_MAX, "even")
+    assert sum(m.multiplicity for m in modes) == 199 + 1
+    assert [m.value for m in modes] == sorted(m.value for m in modes)
+    assert full_spectrum(1.55, 100)[-1].n == N_MAX
+    with pytest.raises(CompletenessError):
+        full_spectrum(0.1, 201)
 
 
 def test_eps_sigma_approaches_n():
