@@ -167,6 +167,42 @@ def _stream(d, transverse, outer, count):
     return [next(stream) for _ in range(count)]
 
 
+def test_mixed_spectrum_structure():
+    circle = [(float(k * k), 1 if k == 0 else 2) for k in range(40)]  # length 2 pi
+    modes = _stream(1, circle, "Neumann", 30)
+    values = [m.value for m in modes]
+    assert values == sorted(values)
+    # nothing below the last listed value is skipped: sigma grows in k
+    # and q, so the lattice corner bounds everything left out
+    top = values[-1]
+    listed = {(m.k, m.q) for m in modes}
+    n = 20
+    for k in range(n):
+        for q in range(n):
+            sig = sigma_mixed(RadialMode(1, q, circle[k][0]), 0.1, 0.5, "Neumann")
+            if sig < top:
+                assert (k, q) in listed
+    assert sigma_mixed(RadialMode(1, 0, circle[n][0]), 0.1, 0.5, "Neumann") > top
+    assert sigma_mixed(RadialMode(1, n, 0.0), 0.1, 0.5, "Neumann") > top
+    # multiplicities multiply: k = 1 (mult 2) with q = 1 (mult 2 on S^1)
+    picked = [m for m in modes if m.k == 1 and m.q == 1]
+    assert len(picked) == 1 and picked[0].multiplicity == 4
+    # SN zero mode present with value 0
+    zero = [m for m in modes if m.k == 0 and m.q == 0]
+    assert len(zero) == 1 and zero[0].value == 0.0
+
+
+def test_mixed_spectrum_point_complete():
+    # a point exhausts its transverse spectrum, so its stream is the pure
+    # q ladder in order: sigma grows with q
+    modes = _stream(3, [(0.0, 1)], "Neumann", 9)
+    assert [(m.k, m.q) for m in modes] == [(0, q) for q in range(9)]
+    values = [m.value for m in modes]
+    assert values == sorted(values) and len(set(values)) == len(values)
+    for m in modes:
+        assert m.multiplicity == sphere_multiplicity(3, m.q)
+
+
 def test_mixed_spectrum_stream():
     # a circle of length 2 pi, and a point, which has k = 0 only
     circle = [(float(k * k), 1 if k == 0 else 2) for k in range(40)]
