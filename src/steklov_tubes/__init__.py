@@ -15,7 +15,6 @@ from .harmonics import (
     Point,
     RoundSphere,
     SubmanifoldSpec,
-    cluster_index,
     load_scenario,
     save_scenario,
     scenario_from_json,

@@ -346,6 +346,22 @@ def _random_torus_functions(mesh, dof, ndof, rng, count):
         yield f
 
 
+def _torus_regions(mesh):
+    """Triangles within 0.15 (periodic) of (0.25, 0.75) and of (0.75, 0.25).
+
+    On the unit torus with holes at TORUS_CENTERS both discs are clear
+    of the holes, as the Poincare check needs.
+    """
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+
+    def near(cx, cy):
+        d = np.abs(centroids - np.array([cx, cy])) % 1.0
+        d = np.minimum(d, 1.0 - d)
+        return np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < 0.15)
+
+    return near(0.25, 0.75), near(0.75, 0.25)
+
+
 def _criterion_8(cache: SuiteCache, seed: int) -> list[str]:
     lines: list[str] = []
     rng = np.random.default_rng(seed)
@@ -361,14 +377,7 @@ def _criterion_8(cache: SuiteCache, seed: int) -> list[str]:
     h = BRACKET_EPS / 6.0
     torus = cache.torus_mesh(BRACKET_EPS, h)
     dof, ndof = torus.dof_map()
-    centroids = torus.vertices[torus.triangles].mean(axis=1)
-
-    def near(cx, cy):
-        d = np.abs(centroids - np.array([cx, cy])) % 1.0
-        d = np.minimum(d, 1.0 - d)
-        return np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < 0.15)
-
-    tris_a, tris_b = near(0.25, 0.75), near(0.75, 0.25)
+    tris_a, tris_b = _torus_regions(torus)
     lam1 = float(cache.torus_neumann(BRACKET_EPS, h, 2)[1])
     fails = sum(
         not poincare_check(torus, f, tris_a, tris_b, lambda1=lam1).holds

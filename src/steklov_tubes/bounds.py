@@ -20,7 +20,6 @@ ambient metric moves any eigenvalue by at most a factor K^{m+1/2}.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -124,7 +123,3 @@ def quasi_ratio_bound(k_const: float, m: int) -> float:
     if m < 2:
         raise ValueError(f"dimension must be >= 2, got {m}")
     return float(k_const ** (m + 0.5))
-
-
-def report_json(scenario: ExcisionScenario) -> str:
-    return json.dumps(constant_C(scenario).to_json(), indent=2, sort_keys=True)

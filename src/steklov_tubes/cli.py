@@ -38,7 +38,7 @@ from .fem import (
     neumann_spectrum,
     steklov_spectrum,
 )
-from .harmonics import ExcisionScenario, load_scenario
+from .harmonics import load_scenario
 
 RATE_COLUMNS = (
     "j",
@@ -96,12 +96,14 @@ def _resolve_delta(arg_delta: float | None) -> float:
     return delta
 
 
-def _emit(rows: list[dict], columns: tuple[str, ...], args) -> None:
+def _emit(obj, args, columns: tuple[str, ...] | None = None) -> None:
+    """Write rows as CSV (given columns and --format csv), else obj as JSON."""
+
     def write(out):
-        if args.format == "csv":
-            tables.write_csv(rows, columns, out)
+        if columns is not None and args.format == "csv":
+            tables.write_csv(obj, columns, out)
         else:
-            tables.write_json(rows, out)
+            tables.write_json(obj, out)
 
     if args.out is None:
         write(sys.stdout)
@@ -110,21 +112,12 @@ def _emit(rows: list[dict], columns: tuple[str, ...], args) -> None:
             write(out)
 
 
-def _load(path: str) -> ExcisionScenario:
-    try:
-        return load_scenario(path)
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"scenario file not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad scenario file {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_model_spectrum(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     delta = _resolve_delta(args.delta)
     grid = _eps_grid(args.eps, delta)
     rows = []
@@ -140,12 +133,12 @@ def _cmd_model_spectrum(args) -> int:
             include_zero_modes=args.include_zero_modes,
         )
         rows.extend(tables.mode_rows(eps, entries))
-    _emit(rows, tables.MODE_COLUMNS, args)
+    _emit(rows, args, tables.MODE_COLUMNS)
     return 0
 
 
 def _cmd_bracket(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     delta = _resolve_delta(args.delta)
     grid = _eps_grid(args.eps, delta)
     rows = []
@@ -153,18 +146,18 @@ def _cmd_bracket(args) -> int:
         pairs = families.bracket(scenario, eps, delta, args.ell_max)
         for ell, (lower, upper) in enumerate(pairs):
             rows.append({"eps": eps, "ell": ell, "lower": lower, "upper": upper})
-    _emit(rows, BRACKET_COLUMNS, args)
+    _emit(rows, args, BRACKET_COLUMNS)
     return 0
 
 
 def _cmd_rates(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     delta = _resolve_delta(args.delta)
     grid = _eps_grid(args.eps, delta)
     if len(grid) < 3:
         raise ConfigurationError(f"rates needs at least 3 eps values, got {len(grid)}")
     rows = families.rate_table(scenario, grid, delta, q_max=args.qmax)
-    _emit(rows, RATE_COLUMNS, args)
+    _emit(rows, args, RATE_COLUMNS)
     return 0
 
 
@@ -187,7 +180,7 @@ def _cmd_sphere_caps(args) -> int:
                 oracle = spherecaps.ode_oracle(args.n, eps, args.oracle_grid)
                 cells += [(args.n, "oracle", 0, sig) for sig in oracle]
         rows += [tables.mode_row(eps, "", "", *cell) for cell in cells]
-    _emit(rows, tables.MODE_COLUMNS, args)
+    _emit(rows, args, tables.MODE_COLUMNS)
     return 0
 
 
@@ -233,12 +226,12 @@ def _cmd_fem(args) -> int:
         )
         family = "Steklov"
     rows = [tables.mode_row(eps_col, "", "", "", family, "", sig) for sig in values]
-    _emit(rows, tables.MODE_COLUMNS, args)
+    _emit(rows, args, tables.MODE_COLUMNS)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     report = bounds_mod.constant_C(scenario)
     if args.eps or args.sigma1:
         if args.format == "csv":
@@ -260,22 +253,14 @@ def _cmd_bounds(args) -> int:
             )
         obj = report.to_json()
         obj["checks"] = checks
-        _emit_obj(obj, args)
+        _emit(obj, args)
         return 0
     if args.format == "csv":
         rows = [dataclasses.asdict(report)]
-        _emit(rows, BOUND_COLUMNS, args)
+        _emit(rows, args, BOUND_COLUMNS)
     else:
-        _emit_obj(report.to_json(), args)
+        _emit(report.to_json(), args)
     return 0
-
-
-def _emit_obj(obj, args) -> None:
-    if args.out is None:
-        tables.write_json(obj, sys.stdout)
-    else:
-        with open(args.out, "w") as out:
-            tables.write_json(obj, out)
 
 
 def _cmd_verify_all(args) -> int:
@@ -305,8 +290,7 @@ def _cmd_verify_all(args) -> int:
             }
             for res in results
         ]
-        with open(args.out, "w") as out:
-            tables.write_json(summary, out)
+        _emit(summary, args)
     return 0 if all(res.passed for res in results) else 3
 
 
@@ -427,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, OSError) as exc:
         json.dump(
             {"error": "configuration", "message": str(exc)},
             sys.stderr,

@@ -17,8 +17,9 @@ only the listed modes and their frontier are ever evaluated.
 predicted_limit encodes the small-eps behaviour of an individual mode:
 eps * sigma -> m - n - 2 + q, except that for q = 0 on a codimension-2
 submanifold (n = m - 2, so d = 1) the correct normalization is
-eps |log eps| * sigma -> 1.  rate_fit extracts the limit from a finite
-eps sweep by Richardson extrapolation in eps.
+eps |log eps| * sigma -> 1.  scaled_sigma applies a case's normalization,
+and rate_fit extracts the limit from the normalized eps sweep by
+Richardson extrapolation in eps.
 """
 
 from __future__ import annotations
@@ -164,41 +165,30 @@ class RateFit:
     limit: float
     eps: tuple[float, ...]
     scaled: tuple[float, ...]
-    normalization: str
     monotone: bool
     warning: str | None = None
 
 
-def rate_fit(samples: list[tuple[float, float]], normalization: str) -> RateFit:
-    """Extrapolate eps -> 0 from (eps, sigma) samples.
+def rate_fit(samples: list[tuple[float, float]]) -> RateFit:
+    """Extrapolate eps -> 0 from (eps, scaled sigma) samples.
 
-    normalization "inverse_eps" rescales to eps * sigma,
-    "inverse_eps_log" to eps |log eps| * sigma, and "identity" takes
-    the samples as already scaled.  The limit comes from Richardson
-    extrapolation (linear in eps) on the two smallest eps; a
-    non-monotone scaled sequence falls back to the last value and
-    carries a warning.
+    The samples are already normalized (see scaled_sigma).  The limit
+    comes from Richardson extrapolation (linear in eps) on the two
+    smallest eps; a non-monotone scaled sequence falls back to the last
+    value and carries a warning.
     """
-    if normalization == "inverse_eps":
-        scale = lambda e: e
-    elif normalization == "inverse_eps_log":
-        scale = lambda e: e * abs(math.log(e))
-    elif normalization == "identity":
-        scale = lambda e: 1.0
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
     if not samples:
         raise ValueError("need at least one sample")
     ordered = sorted(samples, key=lambda t: -t[0])
     eps = tuple(e for e, _ in ordered)
     if len(set(eps)) != len(eps):
         raise ValueError("duplicate eps values in samples")
-    if any(e <= 0 for e in eps) or (normalization == "inverse_eps_log" and 1.0 in eps):
-        raise ValueError("eps values must be positive (and != 1 for log scaling)")
-    scaled = tuple(scale(e) * s for (e, s) in ordered)
+    if any(e <= 0 for e in eps):
+        raise ValueError("eps values must be positive")
+    scaled = tuple(s for _, s in ordered)
 
     if len(scaled) == 1:
-        return RateFit(scaled[0], eps, scaled, normalization, True, "single sample")
+        return RateFit(scaled[0], eps, scaled, True, "single sample")
 
     diffs = [b - a for a, b in zip(scaled, scaled[1:])]
     tol = 1e-13 * max(abs(s) for s in scaled)
@@ -208,14 +198,13 @@ def rate_fit(samples: list[tuple[float, float]], normalization: str) -> RateFit:
             scaled[-1],
             eps,
             scaled,
-            normalization,
             False,
             "scaled values are not monotone in eps; reporting the last value",
         )
     e1, e2 = eps[-2], eps[-1]
     s1, s2 = scaled[-2], scaled[-1]
     limit = (s2 * e1 - s1 * e2) / (e1 - e2)
-    return RateFit(limit, eps, scaled, normalization, True, None)
+    return RateFit(limit, eps, scaled, True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +301,7 @@ def rate_table(
     rows = []
     for case in rate_cases(scenario, q_max):
         samples = [(e, scaled_sigma(scenario, case, e, delta)) for e in eps_grid]
-        fit = rate_fit(samples, "identity")
+        fit = rate_fit(samples)
         rows.append(
             {
                 "j": case.j,

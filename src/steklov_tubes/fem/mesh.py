@@ -352,15 +352,15 @@ def mesh_torus_minus_disks(
     centers: list[tuple[float, float]] | np.ndarray,
     eps: float,
     h: float,
-    h_max: float | None = None,
 ) -> Mesh:
     """Fundamental-square mesh of a flat torus with round holes.
 
     h is the target edge length on the hole boundaries (requires
-    h < eps/4); away from the holes the edge length grows to h_max
-    (default max(h, side/32)).  Hole centers must be separated by more
-    than 4*eps in the periodic metric.  Returns a validated mesh whose
-    only boundary edges are the hole polygons, marked by hole index.
+    h < eps/4); away from the holes the edge length grows to
+    min(max(h, side/32), side/8).  Hole centers must be separated by
+    more than 4*eps in the periodic metric.  Returns a validated mesh
+    whose only boundary edges are the hole polygons, marked by hole
+    index.
     """
     if side <= 0:
         raise ConfigurationError(f"side must be > 0, got {side}")
@@ -368,9 +368,7 @@ def mesh_torus_minus_disks(
     b = len(centers)
     if b and not (0 < h < eps / 4):
         raise ConfigurationError(f"need 0 < h < eps/4, got h={h}, eps={eps}")
-    if h_max is None:
-        h_max = max(h, side / 32.0)
-    h_max = min(h_max, side / 8.0)
+    h_max = min(max(h, side / 32.0), side / 8.0)
     off, margin = _best_offset(centers, side)
     frame = (centers - off) % side
 

@@ -9,11 +9,7 @@ lambda_k of N_j and a spherical harmonic cluster q on S^{d_j}.
 
 Sphere spectra are i(i+d-1) with the usual multiplicity
 
-    mult(d, i) = C(d+i, d) - C(d+i-2, d),
-
-and cluster_index inverts the cumulative multiplicity count: it maps a
-0-based position p in the eigenvalue sequence (repeated by multiplicity)
-to the cluster q it belongs to.
+    mult(d, i) = C(d+i, d) - C(d+i-2, d).
 """
 
 from __future__ import annotations
@@ -47,24 +43,6 @@ def sphere_multiplicity(d: int, i: int) -> int:
     if i == 0:
         return 1
     return math.comb(d + i, d) - math.comb(d + i - 2, d)
-
-
-def cluster_index(d: int, p: int) -> int:
-    """Cluster q containing position p of the multiplicity-repeated spectrum.
-
-    Positions are 0-based: on S^2 the sequence of clusters is
-    0, 1, 1, 1, 2, 2, 2, 2, 2, ... so cluster_index(2, 3) == 1 and
-    cluster_index(2, 4) == 2.
-    """
-    if p < 0:
-        raise ValueError(f"position must be >= 0, got {p}")
-    total = 0
-    q = 0
-    while True:
-        total += sphere_multiplicity(d, q)
-        if p < total:
-            return q
-        q += 1
 
 
 def sphere_volume(d: int) -> float:

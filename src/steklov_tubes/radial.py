@@ -22,9 +22,9 @@ best-first walk of the (k, q) lattice, evaluating only the modes it
 lists and their frontier.
 
 sigma_annulus_pair treats the genuine Steklov problem on a flat annulus
-(Steklov condition on both circles).  Its determinant is a quadratic
-polynomial in sigma, so the two eigenvalues per mode come from one
-exact quadratic solve rather than a root search.
+(Steklov condition on both circles) for lam = 0 modes only.  Its
+determinant is a quadratic polynomial in sigma, so the two eigenvalues
+per mode come from one exact quadratic solve rather than a root search.
 """
 
 from __future__ import annotations
@@ -166,55 +166,26 @@ def sn_log_normalizer(lam: float, eps: float, delta: float) -> float:
 
 
 def _pair_columns(mode: RadialMode, eps_in: float, eps_out: float):
-    """Values and radial derivatives of two scaled fundamental solutions.
+    """Values and radial derivatives of two scaled lam = 0 solutions.
 
     Returns (u1, du1, u2, du2) as pairs evaluated at (eps_in, eps_out).
     Each column carries a constant scaling, which leaves the determinant
     roots unchanged but keeps all entries O(1).
     """
-    q, d, lam = mode.q, mode.d, mode.lam
-    if lam == 0.0:
-        if q == 0 and d == 1:
-            u1 = (1.0, 1.0)
-            du1 = (0.0, 0.0)
-            u2 = (math.log(eps_in), math.log(eps_out))
-            du2 = (1.0 / eps_in, 1.0 / eps_out)
-            return u1, du1, u2, du2
-        beta = mode.beta
-        # u1 = (r/eps_out)^q grows, u2 = (r/eps_in)^(-beta) decays
-        t = eps_in / eps_out
-        u1 = (t ** q, 1.0)
-        du1 = (q * t ** q / eps_in if q else 0.0, q / eps_out if q else 0.0)
-        u2 = (1.0, t ** beta)
-        du2 = (-beta / eps_in, -beta * t ** beta / eps_out)
+    q, d = mode.q, mode.d
+    if q == 0 and d == 1:
+        u1 = (1.0, 1.0)
+        du1 = (0.0, 0.0)
+        u2 = (math.log(eps_in), math.log(eps_out))
+        du2 = (1.0 / eps_in, 1.0 / eps_out)
         return u1, du1, u2, du2
-
-    s = (d - 1) / 2.0
-    nu = mode.nu
-    rt = math.sqrt(lam)
-    xi, xo = rt * eps_in, rt * eps_out
-    e = math.exp(xi - xo)
-    vals = {}
-    for tag, x, r in (("in", xi, eps_in), ("out", xo, eps_out)):
-        rs = r ** (-s)
-        vals[tag] = (
-            rs * bessel.kv_scaled(nu, x),
-            rs * (-(s / r) * bessel.kv_scaled(nu, x) + rt * bessel.kv_prime_scaled(nu, x)),
-            rs * bessel.iv_scaled(nu, x),
-            rs * (-(s / r) * bessel.iv_scaled(nu, x) + rt * bessel.iv_prime_scaled(nu, x)),
-        )
-    k_in, dk_in, i_in, di_in = vals["in"]
-    k_out, dk_out, i_out, di_out = vals["out"]
-    # K column scaled by exp(+xi), I column by exp(-xo)
-    u1 = (k_in, k_out * e)
-    du1 = (dk_in, dk_out * e)
-    u2 = (i_in * e, i_out)
-    du2 = (di_in * e, di_out)
-    for pair in (u1, du1, u2, du2):
-        if not all(np.isfinite(v) for v in pair):
-            raise NumericalError(
-                f"annulus kernel overflow for mode {mode} on [{eps_in}, {eps_out}]"
-            )
+    beta = mode.beta
+    # u1 = (r/eps_out)^q grows, u2 = (r/eps_in)^(-beta) decays
+    t = eps_in / eps_out
+    u1 = (t ** q, 1.0)
+    du1 = (q * t ** q / eps_in if q else 0.0, q / eps_out if q else 0.0)
+    u2 = (1.0, t ** beta)
+    du2 = (-beta / eps_in, -beta * t ** beta / eps_out)
     return u1, du1, u2, du2
 
 
@@ -225,9 +196,12 @@ def sigma_annulus_pair(
 
     The boundary condition is Steklov on both circles.  The 2x2 boundary
     determinant is exactly quadratic in sigma, so the pair is computed by
-    one quadratic solve.  Returned ascending.
+    one quadratic solve.  Returned ascending.  Only lam = 0 modes are
+    supported; lam > 0 raises ValueError.
     """
     _check_radii(eps_in, eps_out)
+    if mode.lam != 0.0:
+        raise ValueError(f"annulus pair needs lam = 0, got lam={mode.lam}")
     u1, du1, u2, du2 = _pair_columns(mode, eps_in, eps_out)
 
     a = u2[0] * u1[1] - u1[0] * u2[1]

@@ -2,9 +2,8 @@
 
 import pytest
 
+from steklov_tubes.acceptance import TORUS_CENTERS
 from steklov_tubes.fem import Annulus, Disk, mesh_planar, mesh_torus_minus_disks
-
-TORUS_CENTERS = ((0.25, 0.25), (0.75, 0.75))
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from steklov_tubes.acceptance import _random_torus_functions, _torus_regions
 from steklov_tubes.errors import ConfigurationError
 from steklov_tubes.fem import steklov_spectrum
 from steklov_tubes.fem.checks import (
@@ -79,24 +80,10 @@ def test_energy_validation(annulus_mesh):
 
 
 def test_poincare_random_suite(torus_mesh):
-    xy, ndof = _dof_coords(torus_mesh)
-    cent = torus_mesh.vertices[torus_mesh.triangles].mean(axis=1)
-
-    def near(p, rad):
-        d = cent - np.asarray(p)
-        d -= np.round(d)
-        return np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < rad)
-
-    tris_a = near((0.25, 0.75), 0.15)
-    tris_b = near((0.75, 0.25), 0.15)
+    dof, ndof = torus_mesh.dof_map()
+    tris_a, tris_b = _torus_regions(torus_mesh)
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        k = rng.integers(-3, 4, size=(3, 2))
-        phase = rng.uniform(0, 2 * np.pi, size=3)
-        amp = rng.normal(size=3)
-        f = np.zeros(ndof)
-        for a, kk, ph in zip(amp, k, phase):
-            f += a * np.cos(2 * np.pi * (kk[0] * xy[:, 0] + kk[1] * xy[:, 1]) + ph)
+    for f in _random_torus_functions(torus_mesh, dof, ndof, rng, 50):
         res = poincare_check(torus_mesh, f, tris_a, tris_b)
         assert res.holds, (res.lhs, res.rhs)
 

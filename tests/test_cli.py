@@ -86,6 +86,16 @@ def test_exit_codes(capsys, tmp_path):
         == 0
     )
     capsys.readouterr()
+    # an unreadable scenario or an unwritable --out is a configuration error
+    missing = tmp_path / "no-such-dir"
+    for argv in (
+        ["bounds", "--scenario", str(SCENARIOS)],
+        ["fem", "--domain", "disk", "--h", "0.5", "--out", str(missing / "x.csv")],
+        ["verify-all", "--criteria", "1", "--out", str(missing / "x.json")],
+    ):
+        assert main(argv) == 1, argv
+        _, err = capsys.readouterr()
+        assert json.loads(err.splitlines()[-1])["error"] == "configuration", argv
 
 
 def test_sphere_caps_anchor(capsys):

@@ -13,7 +13,6 @@ from steklov_tubes.harmonics import (
     Point,
     RoundSphere,
     SubmanifoldSpec,
-    cluster_index,
     load_scenario,
     save_scenario,
     scenario_from_json,
@@ -41,18 +40,6 @@ def test_sphere_multiplicities():
     assert [sphere_multiplicity(2, i) for i in range(4)] == [1, 3, 5, 7]
     # S^3 multiplicities are (i+1)^2
     assert [sphere_multiplicity(3, i) for i in range(5)] == [1, 4, 9, 16, 25]
-
-
-def test_cluster_index():
-    # S^2 repeated clusters: 0, 1,1,1, 2,2,2,2,2, ...
-    assert cluster_index(2, 0) == 0
-    assert cluster_index(2, 3) == 1
-    assert cluster_index(2, 4) == 2
-    assert cluster_index(2, 8) == 2
-    assert cluster_index(2, 9) == 3
-    # S^1: 0, 1,1, 2,2, ...
-    assert cluster_index(1, 2) == 1
-    assert cluster_index(1, 3) == 2
 
 
 def test_sphere_volume():

@@ -86,6 +86,9 @@ def test_annulus_pairs():
     lo, hi = sigma_annulus_pair(RadialMode(1, 4, 0.0), 0.5, 1.0)
     assert lo == pytest.approx(3.9100233967699687, rel=1e-13)
     assert hi == pytest.approx(8.184094250288856, rel=1e-13)
+    # only lam = 0 modes have the two-sided closed form
+    with pytest.raises(ValueError):
+        sigma_annulus_pair(RadialMode(1, 1, 2.0), 0.5, 1.0)
 
 
 def test_sn_below_sd():
