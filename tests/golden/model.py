@@ -1,31 +1,47 @@
-"""Golden oracle for the model half of the command line.
+"""Golden oracle of the command line: one runner, two manifests.
 
-Each entry is one `steklov-tubes` argv.  The manifest next to this file
-(model.json) stores its exit code and the sha256 of its stdout, its
-stderr and, for an argv that writes `--out`, its artifact, plus the
-environment the manifest was recorded in.  Model values are closed
-forms and scaled Bessel kernels, so a refactor of the model layers must
-reproduce every byte: one ulp moved in one value fails the check.
+Each entry is one `steklov-tubes` argv, run in-process from the
+repository root.  A manifest next to this file stores its exit code,
+its stdout, its stderr and, for an argv that writes `--out`, its
+artifact, plus the environment the manifest was recorded in.
 
-Check the manifest, or rewrite it after a deliberate change (log every
+  * model.json, the model commands.  Model values are closed forms and
+    scaled Bessel kernels, so a refactor of the model layers must
+    reproduce every byte: the manifest stores sha256 digests, and one
+    ulp moved in one value fails the check.
+  * fem.json, the `fem` commands and `verify-all --out`.  Their trailing
+    digits follow BLAS and ARPACK, so the manifest stores the text and
+    every number in it is compared at 1e-10 relative (1e-10 absolute
+    for the zero modes); the text between the numbers must match
+    exactly.  The elapsed times in verify-all's stdout are masked.
+
+Check a manifest, or rewrite it after a deliberate change (log every
 changed entry, with its reason, in CHANGES.md):
 
     PYTHONPATH=src python tests/golden/model.py
-    PYTHONPATH=src python tests/golden/model.py --update
+    PYTHONPATH=src python tests/golden/model.py --fem
+    PYTHONPATH=src python tests/golden/model.py [--fem] --update
+
+The test suite checks every entry except FEM_SLOW (verify-all, about
+8 s), which only the `--fem` command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import operator
 import hashlib
 import io
 import json
+import math
 import os
 import platform
+import re
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy
 import scipy
@@ -33,7 +49,6 @@ import scipy
 from steklov_tubes.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
-MANIFEST = Path(__file__).with_name("model.json")
 OUT = "{out}"  # replaced by an artifact path when the argv runs
 
 SCENARIOS = ("torus-2-points", "sphere-2-points", "torus3-circle")
@@ -126,9 +141,29 @@ OTHER = [
 
 ARGV = README + MODEL_SWEEP_SEED0 + MODEL_GRID + CAPS + OTHER
 
+# ---------------------------------------------------------------------------
+# the FEM half
+
+_CENTERS = ["--centers", "0.25,0.25", "0.75,0.75"]
+
+# the README fem command, then perfbench/workloads.py, fem-torus at seed 0
+# without the library-level suites
+FEM_ARGV = [
+    ["fem", "--domain", "torus", "--h", "0.002", "--eps", "0.01", *_CENTERS, "--count", "9"],
+    *(["fem", "--domain", "torus", "--h", h, "--eps", eps, *_CENTERS, "--count", "9",
+       *flags, "--out", OUT]
+      for eps, h in (("0.05", "0.01"), ("0.01", "0.002")) for flags in ([], ["--neumann"])),
+    ["fem", "--domain", "disk", "--h", "0.02", "--count", "8", "--out", OUT],
+    *(["fem", "--domain", "annulus", "--h", "0.02", "--count", "8", *flags, "--out", OUT]
+      for flags in ([], ["--dirichlet-markers", "0"], ["--neumann-markers", "0"],
+                    ["--dirichlet-markers", "1"])),
+]
+
+FEM_SLOW = [["verify-all", "--seed", "0", "--out", OUT]]
+
 
 def environment() -> dict:
-    """What the model bytes depend on besides the code."""
+    """What the recorded bytes depend on besides the code."""
     try:
         blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 only prints its build configuration
@@ -142,64 +177,110 @@ def environment() -> dict:
     }
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def run(argv: list[str], workdir: str) -> dict:
-    """Run one argv in-process from the repository root."""
+    """Run one argv in-process from the repository root; text outputs."""
     path = os.path.join(workdir, "artifact")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main([path if arg == OUT else arg for arg in argv])
     artifact = None
     if OUT in argv and os.path.exists(path):
-        with open(path, "rb") as fh:
-            artifact = _sha(fh.read())
+        with open(path, newline="") as fh:  # the bytes as written
+            artifact = fh.read()
         os.remove(path)
     return {
         "argv": argv,
         "exit": code,
-        "stdout": _sha(stdout.getvalue().encode()),
-        "stderr": _sha(stderr.getvalue().encode()),
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue(),
         "artifact": artifact,
     }
 
 
-def mismatches(workdir: str) -> list[str]:
-    """One line per argv whose run differs from the manifest."""
-    manifest = json.loads(MANIFEST.read_text())
-    want = {tuple(entry["argv"]): entry for entry in manifest["entries"]}
+TEXTS = ("stdout", "stderr", "artifact")
+
+
+def _digests(entry: dict) -> dict:
+    return {
+        **entry,
+        **{
+            key: None if entry[key] is None else hashlib.sha256(entry[key].encode()).hexdigest()
+            for key in TEXTS
+        },
+    }
+
+
+_ELAPSED = re.compile(r"\[[0-9.]+s\]")
+
+
+def _masked(entry: dict) -> dict:
+    return {**entry, "stdout": _ELAPSED.sub("[s]", entry["stdout"])}
+
+
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _same_cells(got: str | None, want: str | None) -> bool:
+    """Same text between the numbers, numbers within 1e-10."""
+    if got is None or want is None:
+        return got is want
+    a, b = _NUMBER.split(got), _NUMBER.split(want)
+    return len(a) == len(b) and all(
+        x == y if i % 2 == 0 else math.isclose(float(x), float(y), rel_tol=1e-10, abs_tol=1e-10)
+        for i, (x, y) in enumerate(zip(a, b))
+    )
+
+
+class Manifest(NamedTuple):
+    path: Path
+    argv: list[list[str]]                 # every entry --update records
+    record: Callable[[dict], dict]        # run() -> stored entry
+    same: Callable[[str | None, str | None], bool]
+
+
+MODEL = Manifest(Path(__file__).with_name("model.json"), ARGV, _digests, operator.eq)
+FEM = Manifest(Path(__file__).with_name("fem.json"), FEM_ARGV + FEM_SLOW, _masked, _same_cells)
+
+
+def mismatches(workdir: str, manifest: Manifest = MODEL,
+               argvs: list[list[str]] | None = None) -> list[str]:
+    """One line per argv (default: all of the manifest's) that differs."""
+    recorded = json.loads(manifest.path.read_text())
+    want = {tuple(entry["argv"]): entry for entry in recorded["entries"]}
     problems = []
-    for argv in ARGV:
+    for argv in manifest.argv if argvs is None else argvs:
         entry = want.get(tuple(argv))
         if entry is None:
             problems.append(f"{' '.join(argv)}: not in the manifest")
             continue
-        got = run(argv, workdir)
-        fields = [key for key in ("exit", "stdout", "stderr", "artifact") if got[key] != entry[key]]
+        got = manifest.record(run(argv, workdir))
+        fields = ["exit"] if got["exit"] != entry["exit"] else []
+        fields += [key for key in TEXTS if not manifest.same(got[key], entry[key])]
         if fields:
             problems.append(f"{' '.join(argv)}: {', '.join(fields)} differ")
-    if problems and manifest["environment"] != environment():
-        problems.append(f"recorded in {manifest['environment']}, run in {environment()}")
+    if problems and recorded["environment"] != environment():
+        problems.append(f"recorded in {recorded['environment']}, run in {environment()}")
     return problems
 
 
-def update(workdir: str) -> None:
-    entries = [run(argv, workdir) for argv in ARGV]
-    manifest = {"environment": environment(), "entries": entries}
-    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+def update(workdir: str, manifest: Manifest = MODEL) -> None:
+    entries = [manifest.record(run(argv, workdir)) for argv in manifest.argv]
+    text = json.dumps({"environment": environment(), "entries": entries},
+                      indent=1, sort_keys=True)
+    manifest.path.write_text(text + "\n")
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--fem", action="store_true", help="the FEM manifest, verify-all included")
     parser.add_argument("--update", action="store_true", help="rewrite the manifest")
     args = parser.parse_args()
+    manifest = FEM if args.fem else MODEL
     os.chdir(REPO)
     with tempfile.TemporaryDirectory() as tmp:
         if args.update:
-            update(tmp)
+            update(tmp, manifest)
             sys.exit(0)
-        problems = mismatches(tmp)
-    print("\n".join(problems) or f"{len(ARGV)} entries match")
+        problems = mismatches(tmp, manifest)
+    print("\n".join(problems) or f"{len(manifest.argv)} entries match")
     sys.exit(1 if problems else 0)
