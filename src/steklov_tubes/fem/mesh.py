@@ -12,15 +12,21 @@ Three generators:
     a hex background lattice capped at a coarser edge length, and the
     square's opposite edges carry matching vertices that are identified
     through periodic_pairs.  Delaunay triangulation with a few rounds of
-    Laplacian smoothing; hole triangles are dropped by a centroid test
-    whose margin separates polygon ears from kept collar triangles.
+    Laplacian smoothing.
+
+Every generator lists the boundary it placed: the outer ring of the
+disk, the two rings of the annulus, and on the torus the polygon of
+hole j, marked j.  The torus generator keeps each polygon's vertex
+indices, so a hole triangle is one whose three corners lie on the same
+polygon, wherever the vertices sit.
 
 The torus mesh covers a translate of the fundamental square, chosen so
 its seams run clear of every hole; hole j carries marker j wherever its
 center lies.  The periodic gluing exists only in the degree-of-freedom
-map, so boundary extraction, validate and the Euler characteristic all
-read one dof-space edge table (_edge_table).  For a torus of genus 1
-with b holes that characteristic is -b.
+map, so validate and the Euler characteristic read one dof-space edge
+table (_edge_table); validate checks that the listed boundary edges are
+exactly the edges of one triangle.  For a torus of genus 1 with b holes
+that characteristic is -b.
 """
 
 from __future__ import annotations
@@ -56,14 +62,6 @@ def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         edges[:, 0] * n + edges[:, 1], return_inverse=True, return_counts=True
     )
     return np.column_stack([keys // n, keys % n]), inverse, counts
-
-
-def _dof_components(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Read-only dof labels of n vertices glued by pairs, and their count."""
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), (n, n))
-    ndof, dof = connected_components(graph, directed=False)
-    dof.flags.writeable = False
-    return dof, ndof
 
 
 # Collar grading around each hole: ring spacing stays at h on a band of
@@ -132,11 +130,17 @@ class Mesh:
         """Vertex -> dof indices after periodic identification (cached).
 
         Dofs are the connected components of the periodic_pairs graph,
-        numbered in order of their lowest vertex.
+        numbered in order of their lowest vertex.  The labels are read-only.
         """
-        return self.cached(
-            "dof_map", lambda m: _dof_components(m.num_vertices, m.periodic_pairs)
-        )
+
+        def build(m: Mesh) -> tuple[np.ndarray, int]:
+            n, pairs = m.num_vertices, m.periodic_pairs
+            graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), (n, n))
+            ndof, dof = connected_components(graph, directed=False)
+            dof.flags.writeable = False
+            return dof, ndof
+
+        return self.cached("dof_map", build)
 
     def areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -419,8 +423,9 @@ def mesh_torus_minus_disks(
     # hole polygons (pinned) and graded collar rings (free)
     n_b = max(12, round(2.0 * math.pi * eps / h)) if b else 0
     ring_tops = []
+    holes = []
     for c in frame:
-        add(_ring(c, eps, n_b), True)
+        holes.append(add(_ring(c, eps, n_b), True))
         band = (1.0 + _COLLAR_BAND) * eps
         collar_end = min(
             band * h_max / h,
@@ -464,24 +469,16 @@ def mesh_torus_minus_disks(
     add(hexpts[keep], False)
 
     pts = np.concatenate(points)
-    pin = np.concatenate(pinned)
-    free = ~pin
+    free = ~np.concatenate(pinned)
+    rings = np.array(holes, dtype=np.int64).reshape(b, n_b)
+    hole = np.full(len(pts), -1)
+    hole[rings] = np.arange(b)[:, None]
 
-    chord = 2.0 * eps * math.sin(math.pi / n_b) if b else 0.0
-    drop_radius = eps - chord * chord / (6.0 * eps) if b else 0.0
-
-    def hole_mask(tri_pts: np.ndarray) -> np.ndarray:
-        cent = tri_pts.mean(axis=1)
-        inside = np.zeros(len(cent), dtype=bool)
-        for c in frame:
-            inside |= np.hypot(*(cent - c).T) < drop_radius
-        return inside
-
-    tri = None
     for it in range(4):
-        tri = Delaunay(pts)
-        simp = tri.simplices
-        simp = simp[~hole_mask(pts[simp])]
+        simp = Delaunay(pts).simplices
+        # a triangle whose corners all lie on one hole polygon is inside it
+        on = hole[simp]
+        simp = simp[(on[:, 0] < 0) | (on[:, 0] != on[:, 1]) | (on[:, 1] != on[:, 2])]
         if it == 3:
             break
         edges, _, _ = _edge_table(simp)
@@ -501,50 +498,17 @@ def mesh_torus_minus_disks(
                 u = (pts[bad] - c) / d[bad, None]
                 pts[bad] = c + (eps + 0.6 * h) * u
 
-    vertices = pts + off
-    triangles = _orient_ccw(pts, simp.astype(np.int64))
-    pair_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    dof, _ = _dof_components(len(vertices), pair_arr)
-    be, markers = _extract_boundary(vertices, triangles, dof, frame + off, eps)
-    mesh = Mesh(vertices, triangles, be, markers, pair_arr)
+    # hole j's boundary is its polygon, marked j
+    be = np.stack([rings, np.roll(rings, -1, axis=1)], axis=-1).reshape(-1, 2)
+    mesh = Mesh(
+        pts + off,
+        _orient_ccw(pts, simp.astype(np.int64)),
+        be,
+        np.repeat(np.arange(b, dtype=np.int64), n_b),
+        np.array(pairs, dtype=np.int64).reshape(-1, 2),
+    )
     mesh.validate()
     chi = mesh.euler_characteristic()
     if chi != -b:
         raise NumericalError(f"torus mesh has Euler characteristic {chi}, want {-b}")
-    for j in range(b):
-        n_edges = int(np.sum(mesh.boundary_markers == j))
-        if n_edges != n_b:
-            raise NumericalError(
-                f"hole {j} has {n_edges} boundary edges, expected {n_b}"
-            )
     return mesh
-
-
-def _extract_boundary(
-    vertices: np.ndarray,
-    triangles: np.ndarray,
-    dof: np.ndarray,
-    centers: np.ndarray,
-    eps: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary edges in dof space, mapped back to owning vertex pairs.
-
-    centers are the hole centers in the vertices' own (translated) frame.
-    """
-    _, inv, counts = _edge_table(dof[triangles])
-    corner, tri = np.divmod(np.flatnonzero(counts[inv] == 1), len(triangles))
-    be = np.column_stack([triangles[tri, corner], triangles[tri, (corner + 1) % 3]])
-    if len(be) == 0:
-        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    markers = np.full(len(be), -1, dtype=np.int64)
-    mids = 0.5 * (vertices[be[:, 0]] + vertices[be[:, 1]])
-    ends = np.stack([vertices[be[:, 0]], vertices[be[:, 1]]])
-    for j, c in enumerate(centers):
-        on_circle = np.all(
-            np.abs(np.hypot(*(ends - c).transpose(2, 0, 1)) - eps) < 1e-9 * (1 + eps),
-            axis=0,
-        )
-        markers[on_circle & (np.hypot(*(mids - c).T) < 2 * eps)] = j
-    if np.any(markers < 0):
-        raise NumericalError("boundary edge found away from every hole circle")
-    return be.astype(np.int64), markers
