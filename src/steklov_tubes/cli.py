@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -94,6 +95,14 @@ def _resolve_delta(arg_delta: float | None) -> float:
     if delta <= 0:
         raise ConfigurationError(f"delta must be > 0, got {delta}")
     return delta
+
+
+def _check_out(path: str) -> None:
+    """Raise OSError before any work if path cannot be written; change nothing."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _emit(obj, args, columns: tuple[str, ...] | None = None) -> None:
@@ -410,6 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except (ConfigurationError, ValueError, OSError) as exc:
         json.dump(

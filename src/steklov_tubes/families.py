@@ -235,6 +235,8 @@ def rate_cases(scenario: ExcisionScenario, q_max: int = 2) -> list[RateCase]:
     (limit 1) and SN with k != 0 by the Bessel-corrected collar
     normalizer (limit 1).
     """
+    if q_max < 0:
+        raise ValueError(f"q_max must be >= 0, got {q_max}")
     cases: list[RateCase] = []
     m = scenario.m
     for j, sub in enumerate(scenario.submanifolds):

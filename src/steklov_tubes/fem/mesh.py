@@ -12,21 +12,15 @@ Three generators:
     a hex background lattice capped at a coarser edge length, and the
     square's opposite edges carry matching vertices that are identified
     through periodic_pairs.  Delaunay triangulation with a few rounds of
-    Laplacian smoothing.
+    Laplacian smoothing; a triangle whose corners all lie on one hole
+    polygon is inside that hole and dropped.
 
-Every generator lists the boundary it placed: the outer ring of the
-disk, the two rings of the annulus, and on the torus the polygon of
-hole j, marked j.  The torus generator keeps each polygon's vertex
-indices, so a hole triangle is one whose three corners lie on the same
-polygon, wherever the vertices sit.
-
-The torus mesh covers a translate of the fundamental square, chosen so
-its seams run clear of every hole; hole j carries marker j wherever its
-center lies.  The periodic gluing exists only in the degree-of-freedom
-map, so validate and the Euler characteristic read one dof-space edge
-table (_edge_table); validate checks that the listed boundary edges are
-exactly the edges of one triangle.  For a torus of genus 1 with b holes
-that characteristic is -b.
+Every generator lists the boundary rings it placed, the torus its hole
+polygons (hole j carries marker j wherever its center lies).  The torus
+mesh covers a translate of the fundamental square whose seams run clear
+of every hole, and the periodic gluing exists only in the dof map, so
+validate (listed boundary edges == edges of one triangle) and the Euler
+characteristic (-b for b holes) read one dof-space edge table.
 """
 
 from __future__ import annotations
@@ -135,7 +129,7 @@ class Mesh:
 
         def build(m: Mesh) -> tuple[np.ndarray, int]:
             n, pairs = m.num_vertices, m.periodic_pairs
-            graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), (n, n))
+            graph = coo_matrix((np.ones(len(pairs)), pairs.T), (n, n))
             ndof, dof = connected_components(graph, directed=False)
             dof.flags.writeable = False
             return dof, ndof
@@ -397,25 +391,21 @@ def mesh_torus_minus_disks(
     sep_min = sep[np.triu_indices(b, 1)].min(initial=math.inf)
 
     points: list[np.ndarray] = []
-    pinned: list[np.ndarray] = []
 
-    def add(pts: np.ndarray, pin: bool) -> np.ndarray:
+    def add(pts: np.ndarray) -> np.ndarray:
         start = sum(len(p) for p in points)
         points.append(pts)
-        pinned.append(np.full(len(pts), pin))
         return np.arange(start, start + len(pts))
 
     # square corners and matched edge points (all pinned)
     n_e = max(8, round(side / h_max))
     step = side / n_e
     ticks = step * np.arange(1, n_e)
-    corner_idx = add(
-        np.array([[0.0, 0.0], [side, 0.0], [0.0, side], [side, side]]), True
-    )
-    bot = add(np.column_stack([ticks, np.zeros(n_e - 1)]), True)
-    top = add(np.column_stack([ticks, np.full(n_e - 1, side)]), True)
-    left = add(np.column_stack([np.zeros(n_e - 1), ticks]), True)
-    right = add(np.column_stack([np.full(n_e - 1, side), ticks]), True)
+    corner_idx = add(np.array([[0.0, 0.0], [side, 0.0], [0.0, side], [side, side]]))
+    bot = add(np.column_stack([ticks, np.zeros(n_e - 1)]))
+    top = add(np.column_stack([ticks, np.full(n_e - 1, side)]))
+    left = add(np.column_stack([np.zeros(n_e - 1), ticks]))
+    right = add(np.column_stack([np.full(n_e - 1, side), ticks]))
     pairs = [(corner_idx[1], corner_idx[0]), (corner_idx[2], corner_idx[0]),
              (corner_idx[3], corner_idx[0])]
     pairs += list(zip(top, bot)) + list(zip(right, left))
@@ -425,7 +415,7 @@ def mesh_torus_minus_disks(
     ring_tops = []
     holes = []
     for c in frame:
-        holes.append(add(_ring(c, eps, n_b), True))
+        holes.append(add(_ring(c, eps, n_b)))
         band = (1.0 + _COLLAR_BAND) * eps
         collar_end = min(
             band * h_max / h,
@@ -447,7 +437,7 @@ def mesh_torus_minus_disks(
             r += s
             k += 1
             n_k = max(10, round(2.0 * math.pi * r / s))
-            add(_ring(c, r, n_k, offset=0.5 * (k % 2)), False)
+            add(_ring(c, r, n_k, offset=0.5 * (k % 2)))
             r_top = r
         ring_tops.append(r_top)
 
@@ -466,13 +456,14 @@ def mesh_torus_minus_disks(
     keep &= np.minimum(hexpts[:, 1], side - hexpts[:, 1]) > 0.35 * h_max
     for c, r_top in zip(frame, ring_tops):
         keep &= np.hypot(*(hexpts - c).T) > r_top + 0.55 * h_max
-    add(hexpts[keep], False)
+    add(hexpts[keep])
 
     pts = np.concatenate(points)
-    free = ~np.concatenate(pinned)
     rings = np.array(holes, dtype=np.int64).reshape(b, n_b)
     hole = np.full(len(pts), -1)
     hole[rings] = np.arange(b)[:, None]
+    # smoothing moves neither the square's points (added first) nor the polygons
+    free = (np.arange(len(pts)) > right[-1]) & (hole < 0)
 
     for it in range(4):
         simp = Delaunay(pts).simplices
@@ -483,11 +474,9 @@ def mesh_torus_minus_disks(
             break
         edges, _, _ = _edge_table(simp)
         sums = np.zeros_like(pts)
-        cnt = np.zeros(len(pts))
         np.add.at(sums, edges[:, 0], pts[edges[:, 1]])
         np.add.at(sums, edges[:, 1], pts[edges[:, 0]])
-        np.add.at(cnt, edges[:, 0], 1)
-        np.add.at(cnt, edges[:, 1], 1)
+        cnt = np.bincount(edges.ravel(), minlength=len(pts))
         ok = free & (cnt > 0)
         avg = sums[ok] / cnt[ok, None]
         pts[ok] = 0.3 * pts[ok] + 0.7 * avg

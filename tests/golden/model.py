@@ -149,10 +149,12 @@ _CENTERS = ["--centers", "0.25,0.25", "0.75,0.75"]
 # the README fem command, then perfbench/workloads.py, fem-torus at seed 0
 # without the library-level suites
 FEM_ARGV = [
-    ["fem", "--domain", "torus", "--h", "0.002", "--eps", "0.01", *_CENTERS, "--count", "9"],
+    ["fem", "--domain", "torus", "--h", "0.002", "--eps", "0.01", *_CENTERS,
+     "--count", "9"],
     *(["fem", "--domain", "torus", "--h", h, "--eps", eps, *_CENTERS, "--count", "9",
        *flags, "--out", OUT]
-      for eps, h in (("0.05", "0.01"), ("0.01", "0.002")) for flags in ([], ["--neumann"])),
+      for eps, h in (("0.05", "0.01"), ("0.01", "0.002"))
+      for flags in ([], ["--neumann"])),
     ["fem", "--domain", "disk", "--h", "0.02", "--count", "8", "--out", OUT],
     *(["fem", "--domain", "annulus", "--h", "0.02", "--count", "8", *flags, "--out", OUT]
       for flags in ([], ["--dirichlet-markers", "0"], ["--neumann-markers", "0"],
@@ -200,14 +202,12 @@ def run(argv: list[str], workdir: str) -> dict:
 TEXTS = ("stdout", "stderr", "artifact")
 
 
+def _sha(text: str | None) -> str | None:
+    return None if text is None else hashlib.sha256(text.encode()).hexdigest()
+
+
 def _digests(entry: dict) -> dict:
-    return {
-        **entry,
-        **{
-            key: None if entry[key] is None else hashlib.sha256(entry[key].encode()).hexdigest()
-            for key in TEXTS
-        },
-    }
+    return {**entry, **{key: _sha(entry[key]) for key in TEXTS}}
 
 
 _ELAPSED = re.compile(r"\[[0-9.]+s\]")
@@ -221,12 +221,14 @@ _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def _same_cells(got: str | None, want: str | None) -> bool:
-    """Same text between the numbers, numbers within 1e-10."""
+    """Same text between the numbers; numbers within 1e-10 relative, or
+    1e-10 absolute (the zero modes)."""
     if got is None or want is None:
         return got is want
     a, b = _NUMBER.split(got), _NUMBER.split(want)
     return len(a) == len(b) and all(
-        x == y if i % 2 == 0 else math.isclose(float(x), float(y), rel_tol=1e-10, abs_tol=1e-10)
+        x == y if i % 2 == 0  # split puts the numbers at odd positions
+        else math.isclose(float(x), float(y), rel_tol=1e-10, abs_tol=1e-10)
         for i, (x, y) in enumerate(zip(a, b))
     )
 
@@ -238,8 +240,9 @@ class Manifest(NamedTuple):
     same: Callable[[str | None, str | None], bool]
 
 
-MODEL = Manifest(Path(__file__).with_name("model.json"), ARGV, _digests, operator.eq)
-FEM = Manifest(Path(__file__).with_name("fem.json"), FEM_ARGV + FEM_SLOW, _masked, _same_cells)
+HERE = Path(__file__).parent
+MODEL = Manifest(HERE / "model.json", ARGV, _digests, operator.eq)
+FEM = Manifest(HERE / "fem.json", FEM_ARGV + FEM_SLOW, _masked, _same_cells)
 
 
 def mismatches(workdir: str, manifest: Manifest = MODEL,
@@ -272,7 +275,8 @@ def update(workdir: str, manifest: Manifest = MODEL) -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--fem", action="store_true", help="the FEM manifest, verify-all included")
+    parser.add_argument("--fem", action="store_true",
+                        help="check the FEM manifest, verify-all included")
     parser.add_argument("--update", action="store_true", help="rewrite the manifest")
     args = parser.parse_args()
     manifest = FEM if args.fem else MODEL

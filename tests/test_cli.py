@@ -71,6 +71,14 @@ def test_exit_codes(capsys, tmp_path):
     )
     _, err = capsys.readouterr()
     assert json.loads(err.splitlines()[-1])["error"] == "configuration"
+    # so is a negative --qmax for rates (it printed a header-only table)
+    assert (
+        main(["rates", "--scenario", TORUS, "--eps", "1e-2", "1e-3", "1e-4", "--qmax", "-1"])
+        == 1
+    )
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == "configuration"
     # a listed mode past the Bessel kernel's range is a numerical failure
     circle = str(SCENARIOS / "torus3-circle.json")
     assert (
@@ -86,16 +94,31 @@ def test_exit_codes(capsys, tmp_path):
         == 0
     )
     capsys.readouterr()
-    # an unreadable scenario or an unwritable --out is a configuration error
+    # an unreadable scenario or an unwritable --out is a configuration
+    # error, and --out is checked before any work: no criterion line, no
+    # "# mesh:" line and no other output precedes the error
     missing = tmp_path / "no-such-dir"
     for argv in (
         ["bounds", "--scenario", str(SCENARIOS)],
-        ["fem", "--domain", "disk", "--h", "0.5", "--out", str(missing / "x.csv")],
-        ["verify-all", "--criteria", "1", "--out", str(missing / "x.json")],
+        ["fem", "--domain", "disk", "--h", "0.02", "--out", str(missing / "x.csv")],
+        ["fem", "--domain", "disk", "--h", "0.5", "--out", str(tmp_path)],
+        ["verify-all", "--criteria", "1,2", "--out", str(missing / "x.json")],
     ):
         assert main(argv) == 1, argv
-        _, err = capsys.readouterr()
-        assert json.loads(err.splitlines()[-1])["error"] == "configuration", argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert len(err.splitlines()) == 1, argv
+        assert json.loads(err)["error"] == "configuration", argv
+    assert tmp_path.is_dir()
+    # a run that fails after the check leaves no file at the path, and an
+    # existing file as it was
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_text("old\n")
+    for path in (fresh, old):
+        assert main(["fem", "--domain", "torus", "--h", "0.02", "--out", str(path)]) == 1
+        capsys.readouterr()
+    assert not fresh.exists()
+    assert old.read_text() == "old\n"
 
 
 def test_sphere_caps_anchor(capsys):

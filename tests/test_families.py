@@ -242,6 +242,9 @@ def test_rate_cases_structure():
     sd0 = [c for c in cases if c.family == "SD" and c.q == 0]
     assert len(sd0) == 1 and sd0[0].normalization == "inverse_eps"
     assert sd0[0].predicted == 1.0
+    # a negative q range is refused, not answered with no cases
+    with pytest.raises(ValueError):
+        rate_cases(torus_points(), q_max=-1)
 
 
 def test_scaled_sigma_matches_prediction():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov_tubes.errors import ConfigurationError
+from steklov_tubes.errors import ConfigurationError, NumericalError
 from steklov_tubes.fem import (
     Annulus,
     Disk,
@@ -140,6 +140,23 @@ def test_operators_cached_per_mesh(annulus_mesh):
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
     assert np.array_equal(first[2], fresh[2]) and first[3] == fresh[3]
+
+
+def test_validate_guards_hole_polygons(torus_mesh):
+    # the generator lists each hole polygon as placed; validate is what
+    # catches a polygon edge that is not free or a free edge not listed
+    m = torus_mesh
+    a, b = m.boundary_edges[m.boundary_markers == 0][0]
+    (on_edge,) = np.flatnonzero((m.triangles == a).any(1) & (m.triangles == b).any(1))
+    broken = (
+        Mesh(m.vertices, np.delete(m.triangles, on_edge, axis=0), m.boundary_edges,
+             m.boundary_markers, m.periodic_pairs),
+        Mesh(m.vertices, m.triangles, m.boundary_edges[1:], m.boundary_markers[1:],
+             m.periodic_pairs),
+    )
+    for mesh in broken:
+        with pytest.raises(NumericalError, match="boundary edges inconsistent"):
+            mesh.validate()
 
 
 def test_bare_torus():
