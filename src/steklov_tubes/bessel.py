@@ -29,6 +29,11 @@ X_MAX = 700.0
 
 
 def _check_domain(nu, x) -> None:
+    # scalar fast path: the comparisons are False for nan and +-inf, so
+    # only finite in-domain floats return here
+    if isinstance(nu, float) and isinstance(x, float):
+        if 0.0 <= nu <= NU_MAX and 0.0 < x <= X_MAX:
+            return
     nu = np.asarray(nu, dtype=float)
     x = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(nu)) or np.any(~np.isfinite(x)):

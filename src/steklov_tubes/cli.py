@@ -39,6 +39,7 @@ from .fem import (
     neumann_spectrum,
     steklov_spectrum,
 )
+from .fem.solve import split_markers
 from .harmonics import load_scenario
 
 RATE_COLUMNS = (
@@ -207,6 +208,18 @@ def _parse_centers(specs: list[str]) -> list[tuple[float, float]]:
 
 
 def _cmd_fem(args) -> int:
+    if args.domain == "torus":
+        if args.eps is None:
+            raise ConfigurationError("--eps is required for the torus domain")
+        centers = _parse_centers(args.centers)
+        markers = set(range(len(centers)))
+    else:
+        markers = {0} if args.domain == "disk" else {0, 1}
+    # refuse what the solvers would refuse before the mesh is built
+    if args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
+    if not args.neumann:
+        split_markers(markers, args.dirichlet_markers, args.neumann_markers)
     if args.domain == "disk":
         mesh = mesh_planar(Disk(args.radius), args.h)
         eps_col: float | str = ""
@@ -214,9 +227,6 @@ def _cmd_fem(args) -> int:
         mesh = mesh_planar(Annulus(args.r_in, args.r_out), args.h)
         eps_col = ""
     else:
-        if args.eps is None:
-            raise ConfigurationError("--eps is required for the torus domain")
-        centers = _parse_centers(args.centers)
         mesh = mesh_torus_minus_disks(args.side, centers, args.eps, args.h)
         eps_col = args.eps
     print(

@@ -3,20 +3,29 @@
 Both spectra are the smallest eigenvalues of a symmetric pencil
 K u = lam B u with K and B positive semidefinite.  For the Neumann
 problem B = M, the consistent mass.  For the Steklov problem
-B = diag(D), the lumped boundary mass on the Steklov part of the
+B = diag(d), the lumped boundary mass on the Steklov part of the
 boundary: Dirichlet-marked boundary parts are eliminated,
 Neumann-marked parts are left free, every other marker is Steklov.
 
-One solver serves both.  A = K + tau B is positive definite for tau > 0
-(the constants, K's kernel, carry B-mass), so it is factored once and
-shift-invert Lanczos finds the largest mu of B u = mu A u, with lam =
-1/mu - tau (ARPACK Users' Guide, Lehoucq, Sorensen and Yang 1998,
-sections 3-4).  tau = 1/|B|, the reciprocal area or Steklov boundary
-length, keeps the shift at the scale of the lowest eigenvalues.  Steklov
-interior dofs have mu = 0 and never surface.  Every lam >= 0, so mu <=
-1/tau in exact arithmetic; rounding above that bound is clipped and no
-eigenvalue comes out negative.  ARPACK needs fewer eigenvalues than dofs
-minus one; at or above that the same pencil goes to a dense eigh.
+Both start from A = K + tau B, which is positive definite for tau > 0
+(the constants, K's kernel, carry B-mass) and is factored once.  tau =
+1/|B|, the reciprocal area or Steklov boundary length, keeps the shift
+at the scale of the lowest eigenvalues.  The eigenvalues sought are the
+largest mu of B u = mu A u, with lam = 1/mu - tau (ARPACK Users' Guide,
+Lehoucq, Sorensen and Yang 1998, sections 3-4).  Every lam >= 0, so mu
+<= 1/tau in exact arithmetic; rounding above that bound is clipped and
+no eigenvalue comes out negative.
+
+Neumann runs shift-invert Lanczos on that pencil over all n dofs.  The
+Steklov spectrum, the spectrum of the Dirichlet-to-Neumann map, lives on
+the n_s dofs where d > 0.  With W = E_s diag(sqrt(d_s)), so that
+B = W W^T, the nonzero mu are the eigenvalues of the n_s x n_s SPD
+operator C = W^T A^-1 W.  A Lanczos step on C is one solve with a
+right-hand side that vanishes off the boundary, and every Lanczos
+vector has length n_s.  The modes come back from one block solve,
+u = A^-1 W y / mu, which gives u^T B u = |y|^2.  ARPACK needs fewer
+eigenvalues than the dimension minus one; at or above that a dense eigh
+takes over (of the Neumann pencil, or of C).
 
 Because A is SPD, LU needs no pivoting to be stable, so SuperLU factors
 it symmetrically: symmetric mode, zero diagonal-pivot threshold and a
@@ -28,6 +37,8 @@ ARPACK running out of iterations all raise NumericalError.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy import sparse
@@ -81,8 +92,11 @@ def boundary_mass(mesh: Mesh, markers: set[int], dof: np.ndarray, ndof: int) -> 
     return d
 
 
-def _marker_sets(mesh, dirichlet_markers, neumann_markers):
-    present = set(int(m) for m in np.unique(mesh.boundary_markers))
+def split_markers(present: set[int], dirichlet_markers, neumann_markers):
+    """Check the bc marker lists against the boundary markers present.
+
+    Returns (Dirichlet markers, Steklov markers) as sets.
+    """
     dset, nset = set(dirichlet_markers), set(neumann_markers)
     for m in dset | nset:
         if m not in present:
@@ -95,25 +109,45 @@ def _marker_sets(mesh, dirichlet_markers, neumann_markers):
     return dset, steklov
 
 
-def _pencil_eigs(K, b_mat, count: int, tau: float, return_modes: bool = False):
-    """`count` smallest eigenvalues of K u = lam B u, ascending.
+@contextmanager
+def _numerical_errors():
+    """Raise SuperLU, LAPACK and ARPACK failures as NumericalError."""
+    try:
+        yield
+    except (RuntimeError, LinAlgError) as exc:
+        raise NumericalError(f"pencil eigensolve failed: {exc}") from exc
 
-    With return_modes also the eigenvectors as columns, normalized so
-    that u^T B u = 1.
+
+def _factor(A):
+    """Symmetric-mode SuperLU factorization of the SPD matrix A."""
+    return splu(
+        A.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _lam(mu, tau: float):
+    """lam = 1/mu - tau, ascending, from mu in any order.
+
+    K and B are semidefinite, so lam >= 0; clip the rounding that puts
+    mu of the constant mode above 1/tau.
     """
+    order = np.argsort(mu)[::-1]
+    return np.maximum(1.0 / mu[order] - tau, 0.0), order
+
+
+def _pencil_eigs(K, b_mat, count: int, tau: float) -> np.ndarray:
+    """`count` smallest eigenvalues of K u = lam B u, ascending (mode 2)."""
     n = K.shape[0]
     A = (K + tau * b_mat).tocsc()
-    try:
+    with _numerical_errors():
         if count >= n - 1:
-            mu, x = eigh(b_mat.toarray(), A.toarray(), subset_by_index=[n - count, n - 1])
+            mu, _ = eigh(b_mat.toarray(), A.toarray(), subset_by_index=[n - count, n - 1])
         else:
-            lu = splu(
-                A,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-            mu, x = eigsh(
+            lu = _factor(A)
+            mu, _ = eigsh(
                 b_mat,
                 k=count,
                 M=A,
@@ -121,16 +155,38 @@ def _pencil_eigs(K, b_mat, count: int, tau: float, return_modes: bool = False):
                 which="LA",
                 v0=np.random.default_rng(0).standard_normal(n),
             )
-    except (RuntimeError, LinAlgError) as exc:
-        raise NumericalError(f"pencil eigensolve failed: {exc}") from exc
-    order = np.argsort(mu)[::-1]
-    mu, x = mu[order], x[:, order]
-    # K and B are semidefinite, so lam = 1/mu - tau >= 0; clip the
-    # rounding that puts mu of the constant mode above 1/tau
-    vals = np.maximum(1.0 / mu - tau, 0.0)
-    if not return_modes:
-        return vals
-    return vals, x / np.sqrt(np.einsum("ij,ij->j", x, b_mat @ x))
+    return _lam(mu, tau)[0]
+
+
+def _boundary_eigs(K, d: np.ndarray, count: int, tau: float, return_modes: bool = False):
+    """`count` smallest eigenvalues of K u = lam diag(d) u, ascending.
+
+    Solved on the support s of d: with W = E_s diag(sqrt(d_s)), the
+    largest mu of C = W^T A^-1 W are 1/(lam + tau).  With return_modes
+    also the eigenvectors as columns, normalized so that u^T diag(d) u = 1.
+    """
+    n = K.shape[0]
+    s = np.flatnonzero(d > 0)
+    n_s = len(s)
+    W = sparse.csc_matrix((np.sqrt(d[s]), s, np.arange(n_s + 1)), shape=(n, n_s))
+    with _numerical_errors():
+        lu = _factor(K + tau * sparse.diags(d))
+        if count >= n_s - 1:
+            C = W.T @ lu.solve(W.toarray())
+            mu, y = eigh(C, subset_by_index=[n_s - count, n_s - 1])
+        else:
+            mu, y = eigsh(
+                LinearOperator((n_s, n_s), matvec=lambda v: W.T @ lu.solve(W @ v), dtype=float),
+                k=count,
+                which="LA",
+                v0=np.random.default_rng(0).standard_normal(n_s),
+            )
+        vals, order = _lam(mu, tau)
+        if not return_modes:
+            return vals
+        # A x = W y / mu solves the pencil, and W^T x = C y / mu = y
+        x = lu.solve(W @ y[:, order]) / mu[order]
+    return vals, x / np.linalg.norm(W.T @ x, axis=0)
 
 
 def steklov_spectrum(
@@ -147,7 +203,8 @@ def steklov_spectrum(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    dset, steklov_markers = _marker_sets(mesh, dirichlet_markers, neumann_markers)
+    present = set(int(m) for m in np.unique(mesh.boundary_markers))
+    dset, steklov_markers = split_markers(present, dirichlet_markers, neumann_markers)
     K, _, dof, ndof = assemble(mesh)
     d_vec = boundary_mass(mesh, steklov_markers, dof, ndof)
 
@@ -161,9 +218,9 @@ def steklov_spectrum(
             f"requested {count} eigenvalues but only {n_steklov} boundary dofs"
         )
 
-    out = _pencil_eigs(
+    out = _boundary_eigs(
         K[free][:, free],
-        sparse.diags(d_vec[free]),
+        d_vec[free],
         count,
         1.0 / float(d_vec.sum()),
         return_modes,

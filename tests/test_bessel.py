@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from steklov_tubes.bessel import (
+    _check_domain,
     bessel_iv,
     bessel_iv_prime,
     bessel_kv,
@@ -90,3 +91,32 @@ def test_domain_errors():
         iv_scaled(0.0, 701.0)
     with pytest.raises(ValueError):
         kv_scaled(0.0, math.inf)
+
+
+def _outcome(nu, x):
+    try:
+        _check_domain(nu, x)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_domain_scalars_match_array_path():
+    # floats take a fast path; at and just past each edge, and at nan and
+    # +-inf, it must accept and refuse exactly as the array path does
+    nus = [0.0, -0.0, 50.0, np.nextafter(50.0, np.inf), math.nan, math.inf, -math.inf, 1.0]
+    xs = [700.0, np.nextafter(700.0, np.inf), 0.0, math.nan, math.inf, -math.inf, 1.0]
+    accepted = 0
+    for nu in nus:
+        for x in xs:
+            want = _outcome(np.asarray(nu), np.asarray(x))
+            for cast in (float, np.float64):
+                assert _outcome(cast(nu), cast(x)) == want, (cast, nu, x)
+            accepted += want is None
+    # nu in {0, -0, 50, 1} with x in {700, 1}
+    assert accepted == 8
+    assert _outcome(np.nextafter(50.0, np.inf), 1.0) == (
+        "order out of range [0, 50.0]: 50.00000000000001"
+    )
+    assert _outcome(1.0, 0.0) == "argument out of range (0, 700.0]: 0.0"
+    assert _outcome(math.nan, 1.0) == "nu and x must be finite"

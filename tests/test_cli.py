@@ -103,6 +103,11 @@ def test_exit_codes(capsys, tmp_path):
         ["fem", "--domain", "disk", "--h", "0.02", "--out", str(missing / "x.csv")],
         ["fem", "--domain", "disk", "--h", "0.5", "--out", str(tmp_path)],
         ["verify-all", "--criteria", "1,2", "--out", str(missing / "x.json")],
+        # a count or a marker the solver would refuse is refused before
+        # the mesh is built
+        ["fem", "--domain", "disk", "--h", "0.5", "--count", "0"],
+        ["fem", "--domain", "torus", "--h", "0.002", "--eps", "0.01", "--dirichlet-markers", "5"],
+        ["fem", "--domain", "annulus", "--h", "0.1", "--dirichlet-markers", "0", "1"],
     ):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()

@@ -27,7 +27,7 @@ from steklov_tubes.fem import (
     steklov_spectrum,
 )
 from steklov_tubes.fem import solve
-from steklov_tubes.fem.solve import _pencil_eigs, assemble, boundary_mass
+from steklov_tubes.fem.solve import _boundary_eigs, _pencil_eigs, assemble, boundary_mass
 from steklov_tubes.radial import RadialMode, sigma_mixed
 
 
@@ -93,15 +93,13 @@ def test_neumann_dense_sparse_agree():
         assert list(vals) == pytest.approx(list(dense), rel=1e-8, abs=1e-8)
 
 
-@pytest.mark.parametrize(
-    "dirichlet, neumann", [((), ()), ((1,), ()), ((), (1,)), ((0,), ())]
-)
-def test_steklov_matches_dense_schur(annulus_mesh, dirichlet, neumann):
-    # reference: the dense Dirichlet-to-Neumann Schur complement on the
-    # Steklov dofs S, with the remaining free dofs I eliminated
-    mesh = annulus_mesh
+def _schur_reference(mesh, dirichlet=(), neumann=()):
+    """Every Steklov eigenvalue from the dense Dirichlet-to-Neumann Schur
+    complement on the Steklov dofs S, with the remaining free dofs I
+    eliminated; also (K, d, fixed) in dof space."""
     K, _, dof, ndof = assemble(mesh)
-    d = boundary_mass(mesh, {0, 1} - set(dirichlet) - set(neumann), dof, ndof)
+    markers = set(np.unique(mesh.boundary_markers).tolist())
+    d = boundary_mass(mesh, markers - set(dirichlet) - set(neumann), dof, ndof)
     fixed = np.zeros(ndof, dtype=bool)
     fixed[dof[mesh.boundary_edges[np.isin(mesh.boundary_markers, dirichlet)].ravel()]] = True
     si = np.flatnonzero((d > 0) & ~fixed)
@@ -111,18 +109,65 @@ def test_steklov_matches_dense_schur(annulus_mesh, dirichlet, neumann):
         Kd[np.ix_(ii, ii)], Kd[np.ix_(ii, si)]
     )
     w = 1.0 / np.sqrt(d[si])
-    ref = scipy.linalg.eigvalsh(w[:, None] * schur * w[None, :])[:8]
+    return scipy.linalg.eigvalsh(w[:, None] * schur * w[None, :]), (K, d, fixed)
 
-    vals, modes = steklov_spectrum(
-        mesh, 8, dirichlet_markers=dirichlet, neumann_markers=neumann, return_modes=True
-    )
-    assert list(vals) == pytest.approx(list(ref), rel=1e-10, abs=1e-10)
-    u = np.zeros((ndof, 8))
+
+def _check_modes(mesh, vals, modes, K, d, fixed):
+    dof, ndof = mesh.dof_map()
+    count = len(vals)
+    u = np.zeros((ndof, count))
     u[dof] = modes
     assert np.abs(u[fixed]).max(initial=0.0) == 0.0
-    assert np.einsum("ij,i,ij->j", u, d, u) == pytest.approx(np.ones(8), rel=1e-10)
+    assert np.einsum("ij,i,ij->j", u, d, u) == pytest.approx(np.ones(count), rel=1e-10)
     resid = (K @ u - d[:, None] * u * vals[None, :])[~fixed]
     assert np.abs(resid).max() < 1e-10 * max(1.0, float(vals[-1]))
+
+
+@pytest.mark.parametrize(
+    "dirichlet, neumann", [((), ()), ((1,), ()), ((), (1,)), ((0,), ())]
+)
+def test_steklov_matches_dense_schur(annulus_mesh, dirichlet, neumann):
+    ref, (K, d, fixed) = _schur_reference(annulus_mesh, dirichlet, neumann)
+    vals, modes = steklov_spectrum(
+        annulus_mesh, 8, dirichlet_markers=dirichlet, neumann_markers=neumann, return_modes=True
+    )
+    assert list(vals) == pytest.approx(list(ref[:8]), rel=1e-10, abs=1e-10)
+    _check_modes(annulus_mesh, vals, modes, K, d, fixed)
+
+
+def test_steklov_boundary_solve_paths(monkeypatch):
+    # the Steklov eigenproblem lives on the n_s boundary dofs: Lanczos
+    # below n_s - 1 eigenvalues, a dense eigh of the n_s x n_s operator
+    # from there up to all n_s
+    mesh = mesh_planar(Disk(1.0), 0.5)
+    ref, (K, d, fixed) = _schur_reference(mesh)
+    n_s = int(np.count_nonzero(d))
+    assert n_s < mesh.dof_map()[1]
+    calls = []
+    for name in ("eigh", "eigsh"):
+        real = getattr(solve, name)
+        monkeypatch.setattr(
+            solve, name, lambda *a, _n=name, _f=real, **kw: calls.append(_n) or _f(*a, **kw)
+        )
+    for count, path in ((n_s - 2, "eigsh"), (n_s - 1, "eigh"), (n_s, "eigh")):
+        calls.clear()
+        vals, modes = steklov_spectrum(mesh, count, return_modes=True)
+        assert calls == [path], count
+        assert list(vals) == pytest.approx(list(ref[:count]), rel=1e-10, abs=1e-10)
+        _check_modes(mesh, vals, modes, K, d, fixed)
+
+
+def test_steklov_lanczos_on_boundary_space(annulus_mesh, monkeypatch):
+    shapes = []
+    real = solve.eigsh
+    monkeypatch.setattr(
+        solve, "eigsh", lambda A, *a, **kw: shapes.append(A.shape) or real(A, *a, **kw)
+    )
+    steklov_spectrum(annulus_mesh, 8)
+    _, _, dof, ndof = assemble(annulus_mesh)
+    n_s = int(np.count_nonzero(boundary_mass(annulus_mesh, {0, 1}, dof, ndof)))
+    assert shapes == [(n_s, n_s)]
+    assert n_s < ndof
 
 
 @pytest.mark.parametrize("eps, h", [(0.03, 0.006), (0.035, 0.035 / 4.5), (0.04, 0.04 / 4.5)])
@@ -170,12 +215,14 @@ def test_pencil_failures_are_numerical(monkeypatch, capsys):
     b = np.ones(n)
     b[1] = 0.0
     with pytest.raises(NumericalError, match="singular"):
-        _pencil_eigs(sparse.csr_matrix((n, n)), sparse.diags(b), 2, 1.0)
+        _boundary_eigs(sparse.csr_matrix((n, n)), b, 2, 1.0)
 
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((n, 0)))
 
     monkeypatch.setattr(solve, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="No convergence"):
+        _boundary_eigs(sparse.eye(n, format="csr"), np.ones(n), 2, 1.0)
     with pytest.raises(NumericalError, match="No convergence"):
         _pencil_eigs(sparse.eye(n, format="csr"), sparse.eye(n, format="csr"), 2, 1.0)
     # and the CLI exits 2 instead of raising
