@@ -214,12 +214,17 @@ def _cmd_fem(args) -> int:
         centers = _parse_centers(args.centers)
         markers = set(range(len(centers)))
     else:
-        markers = {0} if args.domain == "disk" else {0, 1}
-    # refuse what the solvers would refuse before the mesh is built
+        markers = {1} if args.domain == "disk" else {0, 1}
+    # refuse what the solvers would refuse or ignore before the mesh is built
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
     if not args.neumann:
         split_markers(markers, args.dirichlet_markers, args.neumann_markers)
+    elif args.dirichlet_markers or args.neumann_markers:
+        raise ConfigurationError(
+            "--neumann solves without boundary conditions; "
+            "drop --dirichlet-markers and --neumann-markers"
+        )
     if args.domain == "disk":
         mesh = mesh_planar(Disk(args.radius), args.h)
         eps_col: float | str = ""

@@ -11,9 +11,10 @@ Three generators:
     inscribed polygons at edge length h, graded collar rings blend into
     a hex background lattice capped at a coarser edge length, and the
     square's opposite edges carry matching vertices that are identified
-    through periodic_pairs.  Delaunay triangulation with a few rounds of
-    Laplacian smoothing; a triangle whose corners all lie on one hole
-    polygon is inside that hole and dropped.
+    through periodic_pairs.  The points are triangulated, smoothed by
+    three Laplacian rounds on that triangulation's neighbour table, and
+    triangulated again (two Delaunay calls); a triangle whose corners all
+    lie on one hole polygon is inside that hole and dropped.
 
 Every generator lists the boundary rings it placed, the torus its hole
 polygons (hole j carries marker j wherever its center lies).  The torus
@@ -234,21 +235,21 @@ def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _stitch(inner: np.ndarray, inner_ang: np.ndarray, outer: np.ndarray,
-            outer_ang: np.ndarray) -> list[tuple[int, int, int]]:
-    """Triangle strip between two concentric vertex rings, merged by angle."""
+            outer_ang: np.ndarray) -> np.ndarray:
+    """Triangle strip between two concentric vertex rings, merged by angle.
+
+    Each step advances the ring whose next vertex comes first
+    counterclockwise, the inner ring on ties: the steps follow a stable
+    sort of both rings' next angles, inner first.
+    """
     n_in, n_out = len(inner), len(outer)
-    ia = np.append(inner_ang, inner_ang[0] + 2.0 * math.pi)
-    oa = np.append(outer_ang, outer_ang[0] + 2.0 * math.pi)
-    tris = []
-    i = j = 0
-    while i < n_in or j < n_out:
-        if i < n_in and (j >= n_out or ia[i + 1] <= oa[j + 1]):
-            tris.append((inner[i], outer[j % n_out], inner[(i + 1) % n_in]))
-            i += 1
-        else:
-            tris.append((inner[i % n_in], outer[j], outer[(j + 1) % n_out]))
-            j += 1
-    return tris
+    nxt = np.concatenate([inner_ang[1:], inner_ang[:1] + 2.0 * math.pi,
+                          outer_ang[1:], outer_ang[:1] + 2.0 * math.pi])
+    step_in = np.argsort(nxt, kind="stable") < n_in
+    i = np.cumsum(step_in) - step_in
+    j = np.arange(n_in + n_out) - i
+    apex = np.where(step_in, inner[(i + 1) % n_in], outer[(j + 1) % n_out])
+    return np.column_stack([inner[i % n_in], outer[j % n_out], apex])
 
 
 def _ring(center: np.ndarray, radius: float, n: int, offset: float = 0.0) -> np.ndarray:
@@ -279,10 +280,11 @@ def _mesh_disk(radius: float, h: float) -> Mesh:
         angs.append(ang)
         start += n_i
     vertices = np.concatenate(verts)
-    tris = [(0, rings[0][k], rings[0][(k + 1) % 6]) for k in range(6)]
-    for i in range(n_r - 1):
-        tris.extend(_stitch(rings[i], angs[i], rings[i + 1], angs[i + 1]))
-    triangles = _orient_ccw(vertices, np.array(tris, dtype=np.int64))
+    fan = np.column_stack([np.zeros(6, dtype=np.int64), rings[0], np.roll(rings[0], -1)])
+    strips = [
+        _stitch(rings[i], angs[i], rings[i + 1], angs[i + 1]) for i in range(n_r - 1)
+    ]
+    triangles = _orient_ccw(vertices, np.concatenate([fan, *strips]))
     outer = rings[-1]
     be = np.column_stack([outer, np.roll(outer, -1)]).astype(np.int64)
     mesh = Mesh(vertices, triangles, be, np.ones(len(be), dtype=np.int64))
@@ -356,7 +358,9 @@ def mesh_torus_minus_disks(
     h is the target edge length on the hole boundaries (requires
     h < eps/4); away from the holes the edge length grows to
     min(max(h, side/32), side/8).  Hole centers must be separated by
-    more than 4*eps in the periodic metric.  Returns a validated mesh
+    more than 4*eps in the periodic metric.  The points are
+    triangulated twice: once for the neighbour table that three
+    smoothing rounds share, once after them.  Returns a validated mesh
     whose only boundary edges are the hole polygons, marked by hole
     index.
     """
@@ -465,19 +469,23 @@ def mesh_torus_minus_disks(
     # smoothing moves neither the square's points (added first) nor the polygons
     free = (np.arange(len(pts)) > right[-1]) & (hole < 0)
 
-    for it in range(4):
-        simp = Delaunay(pts).simplices
+    def triangulate(xy: np.ndarray) -> np.ndarray:
+        simp = Delaunay(xy).simplices
         # a triangle whose corners all lie on one hole polygon is inside it
         on = hole[simp]
-        simp = simp[(on[:, 0] < 0) | (on[:, 0] != on[:, 1]) | (on[:, 1] != on[:, 2])]
-        if it == 3:
-            break
-        edges, _, _ = _edge_table(simp)
-        sums = np.zeros_like(pts)
-        np.add.at(sums, edges[:, 0], pts[edges[:, 1]])
-        np.add.at(sums, edges[:, 1], pts[edges[:, 0]])
-        cnt = np.bincount(edges.ravel(), minlength=len(pts))
-        ok = free & (cnt > 0)
+        return simp[(on[:, 0] < 0) | (on[:, 0] != on[:, 1]) | (on[:, 1] != on[:, 2])]
+
+    # three Laplacian rounds on the neighbour table of the starting layout
+    # (small moves seldom change it), then the final Delaunay of the moved
+    # points, which fixes any triangle the rounds folded
+    edges, _, _ = _edge_table(triangulate(pts))
+    ends, nbrs = np.concatenate([edges, edges[:, ::-1]]).T
+    cnt = np.bincount(ends, minlength=len(pts))
+    ok = free & (cnt > 0)
+    for _ in range(3):
+        sums = np.column_stack(
+            [np.bincount(ends, pts[nbrs, k], len(pts)) for k in (0, 1)]
+        )
         avg = sums[ok] / cnt[ok, None]
         pts[ok] = 0.3 * pts[ok] + 0.7 * avg
         for c in frame:
@@ -486,6 +494,7 @@ def mesh_torus_minus_disks(
             if np.any(bad):
                 u = (pts[bad] - c) / d[bad, None]
                 pts[bad] = c + (eps + 0.6 * h) * u
+    simp = triangulate(pts)
 
     # hole j's boundary is its polygon, marked j
     be = np.stack([rings, np.roll(rings, -1, axis=1)], axis=-1).reshape(-1, 2)

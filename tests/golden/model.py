@@ -23,7 +23,7 @@ changed entry, with its reason, in CHANGES.md):
     PYTHONPATH=src python tests/golden/model.py [--fem] --update
 
 The test suite checks every entry except FEM_SLOW (verify-all, about
-7 s), which only the `--fem` command runs.
+6 s), which only the `--fem` command runs.
 """
 
 from __future__ import annotations

@@ -108,12 +108,19 @@ def test_exit_codes(capsys, tmp_path):
         ["fem", "--domain", "disk", "--h", "0.5", "--count", "0"],
         ["fem", "--domain", "torus", "--h", "0.002", "--eps", "0.01", "--dirichlet-markers", "5"],
         ["fem", "--domain", "annulus", "--h", "0.1", "--dirichlet-markers", "0", "1"],
+        # --neumann applies no boundary conditions, so it takes no markers
+        ["fem", "--domain", "disk", "--h", "0.5", "--neumann", "--dirichlet-markers", "3",
+         "--count", "2"],
+        ["fem", "--domain", "annulus", "--h", "0.1", "--neumann", "--neumann-markers", "0"],
     ):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "", argv
         assert len(err.splitlines()) == 1, argv
         assert json.loads(err)["error"] == "configuration", argv
+    # the disk's circle carries marker 1, as on the mesh
+    assert main(["fem", "--domain", "disk", "--h", "0.5", "--neumann-markers", "0"]) == 1
+    assert "marker 0 not present" in capsys.readouterr().err
     assert tmp_path.is_dir()
     # a run that fails after the check leaves no file at the path, and an
     # existing file as it was

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from steklov_tubes.acceptance import TORUS_CENTERS, TREND_EPS, _trend_h
 from steklov_tubes.errors import ConfigurationError, NumericalError
 from steklov_tubes.fem import (
     Annulus,
@@ -15,7 +16,8 @@ from steklov_tubes.fem import (
     mesh_torus_minus_disks,
     steklov_spectrum,
 )
-from steklov_tubes.fem.mesh import _edge_table
+from steklov_tubes.fem import mesh as mesh_mod
+from steklov_tubes.fem.mesh import _cross2, _edge_table
 from steklov_tubes.fem.solve import assemble
 
 CENTERS = ((0.25, 0.25), (0.75, 0.75))
@@ -52,6 +54,49 @@ def test_torus_topology(torus_mesh):
     assert len(torus_mesh.periodic_pairs) > 0
     _, ndof = torus_mesh.dof_map()
     assert ndof == torus_mesh.num_vertices - len(torus_mesh.periodic_pairs)
+
+
+def _worst_opposite_angle_sum(mesh):
+    """Largest sum of the two angles facing an edge shared by two triangles."""
+    p = mesh.vertices[mesh.triangles]
+    edges, inverse, counts = _edge_table(mesh.triangles)
+    # the k-th block of directed edges is the side (k, k+1) of each
+    # triangle, facing corner k+2
+    angles = []
+    for k in range(3):
+        u = p[:, k] - p[:, (k + 2) % 3]
+        v = p[:, (k + 1) % 3] - p[:, (k + 2) % 3]
+        angles.append(np.arctan2(np.abs(_cross2(u, v)), (u * v).sum(axis=1)))
+    sums = np.bincount(inverse, np.concatenate(angles), len(edges))
+    return sums[counts == 2].max()
+
+
+def test_torus_mesh_is_delaunay(torus_mesh):
+    # the smoothed points are triangulated again, so the angles facing
+    # each interior edge sum to at most pi; smoothing on the first
+    # triangulation alone leaves edges of the eps = 0.04 trend torus at
+    # pi + 0.07
+    eps = TREND_EPS[0]
+    trend = mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, _trend_h(eps))
+    for mesh in (torus_mesh, trend):
+        assert _worst_opposite_angle_sum(mesh) <= math.pi + 1e-9
+
+
+def test_torus_triangulates_twice(monkeypatch):
+    # once for the neighbour table the smoothing rounds share, once for
+    # the smoothed points
+    calls = []
+
+    def counting(points, *args, **kwargs):
+        calls.append(len(points))
+        return delaunay(points, *args, **kwargs)
+
+    delaunay = mesh_mod.Delaunay
+    monkeypatch.setattr(mesh_mod, "Delaunay", counting)
+    for eps, h in ((0.05, 0.01), (0.02, 0.02 / 6.0)):
+        calls.clear()
+        mesh = mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, h)
+        assert calls == [mesh.num_vertices] * 2
 
 
 def test_torus_vertices_on_circles(torus_mesh):
