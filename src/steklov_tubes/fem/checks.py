@@ -69,11 +69,11 @@ def dirichlet_energy_check(
     f = np.asarray(f, dtype=float)
     if f.shape != (ndof,):
         raise ConfigurationError(f"f must have shape ({ndof},), got {f.shape}")
-    d_vec = boundary_mass(mesh, {marker}, dof, ndof)
-    if not np.any(d_vec > 0):
+    d = mesh.cached(f"boundary_mass {marker}", lambda m: boundary_mass(m, {marker}, dof, ndof))
+    if not np.any(d > 0):
         raise ConfigurationError(f"marker {marker} has no boundary mass")
-    w = d_vec[d_vec > 0]
-    fb = f[d_vec > 0]
+    w = d[d > 0]
+    fb = f[d > 0]
     mean = float(w @ fb) / float(w.sum())
     lhs = float(f @ (K @ f))
     rhs = sigma1_sn * float(w @ (fb - mean) ** 2)
@@ -101,7 +101,7 @@ def poincare_check(
         raise ConfigurationError(f"f must have shape ({ndof},), got {f.shape}")
     if lambda1 is None:
         lambda1 = mesh.cached("lambda1", lambda m: float(neumann_spectrum(m, 2)[1]))
-    areas = mesh.areas()
+    areas = mesh.cached("areas", Mesh.areas)
     fd = f[dof[mesh.triangles]]
 
     def region(tris):

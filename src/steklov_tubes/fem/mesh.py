@@ -86,9 +86,9 @@ class Mesh:
 
     The arrays are read-only copies of the constructor's, so a generator
     finishes every array, the torus boundary included, before it builds
-    the mesh.  The dof map, the operators of solve.assemble and the
-    lambda_1 of checks.poincare_check are cached on the instance, so
-    every check and solve on one mesh object shares them;
+    the mesh.  The dof map, the operators of solve.assemble, and the
+    areas, lambda_1 and boundary masses of fem.checks are cached on the
+    instance, so every check and solve on one mesh object shares them;
     dataclasses.replace gives a new mesh with a fresh cache.
     """
 
@@ -108,9 +108,11 @@ class Mesh:
         object.__setattr__(self, "_cache", {})
 
     def cached(self, key: str, build):
-        """build(self), computed on the first call for this mesh object."""
+        """build(self), computed once per mesh object; an array result is read-only."""
         if key not in self._cache:
-            self._cache[key] = build(self)
+            value = self._cache[key] = build(self)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         return self._cache[key]
 
     @property

@@ -16,16 +16,16 @@ Lehoucq, Sorensen and Yang 1998, sections 3-4).  Every lam >= 0, so mu
 <= 1/tau in exact arithmetic; rounding above that bound is clipped and
 no eigenvalue comes out negative.
 
-Neumann runs shift-invert Lanczos on that pencil over all n dofs.  The
-Steklov spectrum, the spectrum of the Dirichlet-to-Neumann map, lives on
-the n_s dofs where d > 0.  With W = E_s diag(sqrt(d_s)), so that
-B = W W^T, the nonzero mu are the eigenvalues of the n_s x n_s SPD
-operator C = W^T A^-1 W.  A Lanczos step on C is one solve with a
-right-hand side that vanishes off the boundary, and every Lanczos
-vector has length n_s.  The modes come back from one block solve,
-u = A^-1 W y / mu, which gives u^T B u = |y|^2.  ARPACK needs fewer
-eigenvalues than the dimension minus one; at or above that a dense eigh
-takes over (of the Neumann pencil, or of C).
+Neumann runs shift-invert Lanczos (ARPACK) over all n dofs, or a dense
+eigh from count >= n - 1.  The Steklov spectrum lives on the n_s dofs
+where d > 0: with W = E_s diag(sqrt(d_s)), B = W W^T and the nonzero mu
+are the eigenvalues of the n_s x n_s SPD C = W^T A^-1 W, in near-equal
+cos/sin pairs.  Block Lanczos with BLOCK = 2 finds them, one two-column
+solve a step; Gram-Schmidt repeats while a pass shrinks a column below
+1/sqrt(2) (Daniel, Gragg, Kaufman and Stewart 1976).  A Ritz pair passes
+at |C y - mu y| <= RESIDUAL mu by the block estimate (tested as if it
+falls at most 100-fold a step), then by the true residual; n_s vectors
+are exact.  Modes: u = A^-1 W y / mu, so u^T B u = |y|^2.
 
 Because A is SPD, LU needs no pivoting to be stable, so SuperLU factors
 it symmetrically: symmetric mode, zero diagonal-pivot threshold and a
@@ -47,6 +47,9 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from ..errors import ConfigurationError, NumericalError
 from .mesh import Mesh
+
+BLOCK = 2  # Steklov Lanczos block size
+RESIDUAL = 1e-10  # relative residual of every Steklov Ritz pair
 
 
 def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, int]:
@@ -158,6 +161,40 @@ def _pencil_eigs(K, b_mat, count: int, tau: float) -> np.ndarray:
     return _lam(mu, tau)[0]
 
 
+def _block_lanczos(apply, n: int, count: int):
+    """The `count` largest eigenpairs of C, descending; apply(X) = C X."""
+    rng, CV, T, check_at = np.random.default_rng(0), np.zeros((n, 0)), np.zeros((0, 0)), count
+    V = _extend(CV, CV, rng)
+    while True:
+        b, m = V.shape[1] - CV.shape[1], V.shape[1]
+        CX = apply(V[:, -b:])
+        CV, H = np.hstack([CV, CX]), V.T @ CX
+        T = np.block([[T, H[:-b]], [H.T]])  # eigh reads the lower triangle
+        R = CX - V @ H
+        if m >= check_at or m == n:
+            mu, S = (a[..., : -count - 1 : -1] for a in np.linalg.eigh(T))
+            ratio = np.max(np.linalg.norm(R @ S[-b:], axis=0) / (RESIDUAL * mu))
+            true = np.linalg.norm(CV @ S - V @ S * mu, axis=0) if ratio <= 1 else np.inf
+            if m == n or np.all(true <= RESIDUAL * mu):
+                return mu, V @ S
+            check_at = m + BLOCK * max(1, int(np.log10(max(1.0, ratio)) / 2))
+        V = _extend(V, R, rng)
+
+
+def _extend(V, R, rng):
+    """V plus BLOCK (at most n) orthonormal columns spanning R's, or random ones."""
+    want = min(V.shape[1] + BLOCK, len(V))
+    for c in [*R.T, *rng.standard_normal((BLOCK, len(V)))]:
+        for _ in range(3):
+            c, before = c - V @ (V.T @ c), np.linalg.norm(c)
+            if np.linalg.norm(c) > 0.5**0.5 * before:
+                V = np.hstack([V, c[:, None] / np.linalg.norm(c)])
+                break
+        if V.shape[1] == want:
+            return V
+    raise LinAlgError("no direction left off the Lanczos basis")
+
+
 def _boundary_eigs(K, d: np.ndarray, count: int, tau: float, return_modes: bool = False):
     """`count` smallest eigenvalues of K u = lam diag(d) u, ascending.
 
@@ -165,28 +202,19 @@ def _boundary_eigs(K, d: np.ndarray, count: int, tau: float, return_modes: bool 
     largest mu of C = W^T A^-1 W are 1/(lam + tau).  With return_modes
     also the eigenvectors as columns, normalized so that u^T diag(d) u = 1.
     """
-    n = K.shape[0]
     s = np.flatnonzero(d > 0)
     n_s = len(s)
-    W = sparse.csc_matrix((np.sqrt(d[s]), s, np.arange(n_s + 1)), shape=(n, n_s))
+    W = sparse.csc_matrix((np.sqrt(d[s]), s, np.arange(n_s + 1)), shape=(K.shape[0], n_s))
+    Wt = W.T
     with _numerical_errors():
         lu = _factor(K + tau * sparse.diags(d))
-        if count >= n_s - 1:
-            C = W.T @ lu.solve(W.toarray())
-            mu, y = eigh(C, subset_by_index=[n_s - count, n_s - 1])
-        else:
-            mu, y = eigsh(
-                LinearOperator((n_s, n_s), matvec=lambda v: W.T @ lu.solve(W @ v), dtype=float),
-                k=count,
-                which="LA",
-                v0=np.random.default_rng(0).standard_normal(n_s),
-            )
+        mu, y = _block_lanczos(lambda Y: Wt @ lu.solve(W @ Y), n_s, count)
         vals, order = _lam(mu, tau)
         if not return_modes:
             return vals
         # A x = W y / mu solves the pencil, and W^T x = C y / mu = y
         x = lu.solve(W @ y[:, order]) / mu[order]
-    return vals, x / np.linalg.norm(W.T @ x, axis=0)
+    return vals, x / np.linalg.norm(Wt @ x, axis=0)
 
 
 def steklov_spectrum(

@@ -10,20 +10,22 @@ artifact, plus the environment the manifest was recorded in.
     reproduce every byte: the manifest stores sha256 digests, and one
     ulp moved in one value fails the check.
   * fem.json, the `fem` commands and `verify-all --out`.  Their trailing
-    digits follow BLAS and ARPACK, so the manifest stores the text and
-    every number in it is compared at 1e-10 relative (1e-10 absolute
-    for the zero modes); the text between the numbers must match
+    digits follow BLAS and the eigensolvers, so the manifest stores the
+    text and every number in it is compared at 1e-10 relative (1e-10
+    absolute for the zero modes); the text between the numbers must match
     exactly.  The elapsed times in verify-all's stdout are masked.
 
 Check a manifest, or rewrite it after a deliberate change (log every
-changed entry, with its reason, in CHANGES.md):
+changed entry, with its reason, in CHANGES.md).  --update rewrites the
+entries that fail the check, or only the argv lists named after it (as
+the check prints them), and keeps every other entry byte for byte:
 
     PYTHONPATH=src python tests/golden/model.py
     PYTHONPATH=src python tests/golden/model.py --fem
-    PYTHONPATH=src python tests/golden/model.py [--fem] --update
+    PYTHONPATH=src python tests/golden/model.py [--fem] --update ["ARGV" ...]
 
 The test suite checks every entry except FEM_SLOW (verify-all, about
-6 s), which only the `--fem` command runs.
+4 s), which only the `--fem` command runs.
 """
 
 from __future__ import annotations
@@ -245,6 +247,12 @@ MODEL = Manifest(HERE / "model.json", ARGV, _digests, operator.eq)
 FEM = Manifest(HERE / "fem.json", FEM_ARGV + FEM_SLOW, _masked, _same_cells)
 
 
+def _differs(manifest: Manifest, got: dict, entry: dict) -> list[str]:
+    """The fields of a fresh record that fail the check against the stored entry."""
+    fields = ["exit"] if got["exit"] != entry["exit"] else []
+    return fields + [key for key in TEXTS if not manifest.same(got[key], entry[key])]
+
+
 def mismatches(workdir: str, manifest: Manifest = MODEL,
                argvs: list[list[str]] | None = None) -> list[str]:
     """One line per argv (default: all of the manifest's) that differs."""
@@ -256,9 +264,7 @@ def mismatches(workdir: str, manifest: Manifest = MODEL,
         if entry is None:
             problems.append(f"{' '.join(argv)}: not in the manifest")
             continue
-        got = manifest.record(run(argv, workdir))
-        fields = ["exit"] if got["exit"] != entry["exit"] else []
-        fields += [key for key in TEXTS if not manifest.same(got[key], entry[key])]
+        fields = _differs(manifest, manifest.record(run(argv, workdir)), entry)
         if fields:
             problems.append(f"{' '.join(argv)}: {', '.join(fields)} differ")
     if problems and recorded["environment"] != environment():
@@ -266,24 +272,55 @@ def mismatches(workdir: str, manifest: Manifest = MODEL,
     return problems
 
 
-def update(workdir: str, manifest: Manifest = MODEL) -> None:
-    entries = [manifest.record(run(argv, workdir)) for argv in manifest.argv]
-    text = json.dumps({"environment": environment(), "entries": entries},
-                      indent=1, sort_keys=True)
-    manifest.path.write_text(text + "\n")
+def update(workdir: str, manifest: Manifest = MODEL,
+           argvs: list[list[str]] | None = None) -> list[str]:
+    """Rewrite the entries of `argvs`, by default those that fail the check.
+
+    Every other entry keeps its stored bytes, and a manifest with nothing
+    to rewrite is left as it is.  Returns the rewritten argv lists, joined.
+    """
+    recorded = json.loads(manifest.path.read_text())
+    want = {tuple(entry["argv"]): entry for entry in recorded["entries"]}
+    named = None if argvs is None else {tuple(argv) for argv in argvs}
+    entries, changed = [], []
+    for argv in manifest.argv:
+        entry = want.get(tuple(argv))
+        if named is None or tuple(argv) in named or entry is None:
+            got = manifest.record(run(argv, workdir))
+            if named is not None or entry is None or _differs(manifest, got, entry):
+                entry = got
+                changed.append(" ".join(argv))
+        entries.append(entry)
+    if changed or len(entries) != len(recorded["entries"]):
+        text = json.dumps({"environment": environment(), "entries": entries},
+                          indent=1, sort_keys=True)
+        manifest.path.write_text(text + "\n")
+    return changed
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--fem", action="store_true",
                         help="check the FEM manifest, verify-all included")
-    parser.add_argument("--update", action="store_true", help="rewrite the manifest")
+    parser.add_argument("--update", action="store_true",
+                        help="rewrite the entries that fail the check, or the named ones")
+    parser.add_argument("entries", nargs="*",
+                        help="with --update, the argv lists to rewrite, as the check prints them")
     args = parser.parse_args()
     manifest = FEM if args.fem else MODEL
+    by_name = {" ".join(argv): argv for argv in manifest.argv}
+    if args.entries and not args.update:
+        parser.error("argv lists are named only with --update")
+    for name in args.entries:
+        if name not in by_name:
+            parser.error(f"not in the manifest: {name}")
     os.chdir(REPO)
     with tempfile.TemporaryDirectory() as tmp:
         if args.update:
-            update(tmp, manifest)
+            named = [by_name[name] for name in args.entries] or None
+            changed = update(tmp, manifest, named)
+            print("\n".join(f"rewrote {name}" for name in changed)
+                  or f"{len(manifest.argv)} entries kept")
             sys.exit(0)
         problems = mismatches(tmp, manifest)
     print("\n".join(problems) or f"{len(manifest.argv)} entries match")

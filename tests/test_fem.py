@@ -136,38 +136,87 @@ def test_steklov_matches_dense_schur(annulus_mesh, dirichlet, neumann):
 
 
 def test_steklov_boundary_solve_paths(monkeypatch):
-    # the Steklov eigenproblem lives on the n_s boundary dofs: Lanczos
-    # below n_s - 1 eigenvalues, a dense eigh of the n_s x n_s operator
-    # from there up to all n_s
+    # one block Lanczos on the n_s boundary dofs for every count, up to
+    # all n_s eigenvalues, where the basis fills the space and is exact
     mesh = mesh_planar(Disk(1.0), 0.5)
     ref, (K, d, fixed) = _schur_reference(mesh)
     n_s = int(np.count_nonzero(d))
     assert n_s < mesh.dof_map()[1]
     calls = []
+    real = solve._block_lanczos
+    monkeypatch.setattr(solve, "_block_lanczos", lambda *a: calls.append(a[1:]) or real(*a))
     for name in ("eigh", "eigsh"):
-        real = getattr(solve, name)
-        monkeypatch.setattr(
-            solve, name, lambda *a, _n=name, _f=real, **kw: calls.append(_n) or _f(*a, **kw)
-        )
-    for count, path in ((n_s - 2, "eigsh"), (n_s - 1, "eigh"), (n_s, "eigh")):
+        monkeypatch.setattr(solve, name, lambda *a, _n=name, **kw: pytest.fail(f"{_n} called"))
+    for count in (1, n_s - 2, n_s - 1, n_s):
         calls.clear()
         vals, modes = steklov_spectrum(mesh, count, return_modes=True)
-        assert calls == [path], count
+        assert calls == [(n_s, count)], count
         assert list(vals) == pytest.approx(list(ref[:count]), rel=1e-10, abs=1e-10)
         _check_modes(mesh, vals, modes, K, d, fixed)
 
 
 def test_steklov_lanczos_on_boundary_space(annulus_mesh, monkeypatch):
-    shapes = []
-    real = solve.eigsh
+    # the Lanczos vectors have length n_s, and each step is one solve
+    # with at most two right-hand sides; ARPACK is not used
+    sizes, rhs = [], []
+    real_lanczos, real_factor = solve._block_lanczos, solve._factor
+
+    class RecordingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            rhs.append(b.shape)
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(solve, "_factor", lambda A: RecordingLU(real_factor(A)))
     monkeypatch.setattr(
-        solve, "eigsh", lambda A, *a, **kw: shapes.append(A.shape) or real(A, *a, **kw)
+        solve, "_block_lanczos", lambda apply, n, k: sizes.append(n) or real_lanczos(apply, n, k)
     )
+    monkeypatch.setattr(solve, "eigsh", lambda *a, **kw: pytest.fail("eigsh called"))
     steklov_spectrum(annulus_mesh, 8)
     _, _, dof, ndof = assemble(annulus_mesh)
     n_s = int(np.count_nonzero(boundary_mass(annulus_mesh, {0, 1}, dof, ndof)))
-    assert shapes == [(n_s, n_s)]
+    assert sizes == [n_s]
     assert n_s < ndof
+    assert rhs and all(shape[0] == ndof and shape[1] <= 2 for shape in rhs)
+
+
+@pytest.mark.parametrize(
+    "spectrum, count",
+    [
+        # an exact triple: one and two copies wanted, more than the block
+        # size in all
+        ([9.0, 7.0, 5.0, 5.0, 5.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.125], 3),
+        ([9.0, 7.0, 5.0, 5.0, 5.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.125], 4),
+        # the identity: the first block spans an invariant subspace
+        ([1.0] * 7, 3),
+        ([1.0] * 7, 7),
+        # one dof, and every eigenvalue of an odd dimension
+        ([2.5], 1),
+        ([4.0, 3.5, 3.0, 2.0, 1.0, 0.9, 0.8, 0.3, 0.1], 9),
+    ],
+)
+def test_block_lanczos_against_eigh(spectrum, count):
+    n = len(spectrum)
+    rng = np.random.default_rng(7)
+    for C in (np.diag(spectrum), None):
+        if C is None:  # the same spectrum in a random orthonormal basis
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            C = Q @ np.diag(spectrum) @ Q.T
+        calls = []
+        mu, y = solve._block_lanczos(lambda X: calls.append(X.shape[1]) or C @ X, n, count)
+        assert max(calls) <= solve.BLOCK
+        ref = np.linalg.eigvalsh(C)[::-1][:count]
+        assert list(mu) == pytest.approx(list(ref), rel=1e-12)
+        assert np.abs(y.T @ y - np.eye(count)).max() < 1e-12
+        assert np.abs(C @ y - y * mu).max() <= 1e-10 * mu.max()
+
+
+def test_lanczos_basis_that_cannot_grow():
+    # no vector gets off a non-finite basis, so the extension gives up
+    with pytest.raises(scipy.linalg.LinAlgError, match="no direction left"):
+        solve._extend(np.full((4, 1), np.nan), np.zeros((4, 0)), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("eps, h", [(0.03, 0.006), (0.035, 0.035 / 4.5), (0.04, 0.04 / 4.5)])
@@ -217,16 +266,23 @@ def test_pencil_failures_are_numerical(monkeypatch, capsys):
     with pytest.raises(NumericalError, match="singular"):
         _boundary_eigs(sparse.csr_matrix((n, n)), b, 2, 1.0)
 
+    class NonFiniteLU:
+        def solve(self, rhs):
+            return rhs * np.nan
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solve, "_factor", lambda A: NonFiniteLU())
+        with pytest.raises(NumericalError):
+            _boundary_eigs(sparse.eye(n, format="csr"), np.ones(n), 2, 1.0)
+
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((n, 0)))
 
     monkeypatch.setattr(solve, "eigsh", no_convergence)
     with pytest.raises(NumericalError, match="No convergence"):
-        _boundary_eigs(sparse.eye(n, format="csr"), np.ones(n), 2, 1.0)
-    with pytest.raises(NumericalError, match="No convergence"):
         _pencil_eigs(sparse.eye(n, format="csr"), sparse.eye(n, format="csr"), 2, 1.0)
     # and the CLI exits 2 instead of raising
-    assert main(["fem", "--domain", "disk", "--h", "0.2", "--count", "4"]) == 2
+    assert main(["fem", "--domain", "disk", "--h", "0.2", "--count", "4", "--neumann"]) == 2
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "numerical"
 
 
