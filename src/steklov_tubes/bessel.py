@@ -44,18 +44,6 @@ def _check_domain(nu, x) -> None:
         raise ValueError(f"argument out of range (0, {X_MAX}]: {x}")
 
 
-def bessel_iv(nu, x):
-    """I_nu(x) on the supported domain."""
-    _check_domain(nu, x)
-    return special.iv(nu, x)
-
-
-def bessel_kv(nu, x):
-    """K_nu(x) on the supported domain."""
-    _check_domain(nu, x)
-    return special.kv(nu, x)
-
-
 def bessel_iv_prime(nu, x):
     """d/dx I_nu(x)."""
     _check_domain(nu, x)

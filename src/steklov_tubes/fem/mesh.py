@@ -8,13 +8,15 @@ Three generators:
   * mesh_planar(Annulus(r_in, r_out), h): structured polar grid.
   * mesh_torus_minus_disks(side, centers, eps, h): fundamental square of
     a flat torus with circular holes.  Hole boundaries are exact
-    inscribed polygons at edge length h, graded collar rings blend into
-    a hex background lattice capped at a coarser edge length, and the
-    square's opposite edges carry matching vertices that are identified
-    through periodic_pairs.  The points are triangulated, smoothed by
-    three Laplacian rounds on that triangulation's neighbour table, and
-    triangulated again (two Delaunay calls); a triangle whose corners all
-    lie on one hole polygon is inside that hole and dropped.
+    inscribed polygons at edge length h; around each, graded polar rings
+    of twice the polygon's vertex count are stitched strip by strip, as
+    the disk's rings are, out to a hex background lattice capped at a
+    coarser edge length.  The square's opposite edges carry matching
+    vertices that are identified through periodic_pairs.  One Delaunay
+    call triangulates the background (the square's points, the hex
+    points and each collar's outermost ring), and nothing is smoothed; a
+    triangle whose corners all lie on one outermost ring is inside that
+    collar and dropped.
 
 Every generator lists the boundary rings it placed, the torus its hole
 polygons (hole j carries marker j wherever its center lies).  The torus
@@ -254,8 +256,7 @@ def _stitch(inner: np.ndarray, inner_ang: np.ndarray, outer: np.ndarray,
     return np.column_stack([inner[i % n_in], outer[j % n_out], apex])
 
 
-def _ring(center: np.ndarray, radius: float, n: int, offset: float = 0.0) -> np.ndarray:
-    ang = 2.0 * math.pi * (np.arange(n) + offset) / n
+def _ring(center: np.ndarray, radius: float, ang: np.ndarray) -> np.ndarray:
     return center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
@@ -360,11 +361,11 @@ def mesh_torus_minus_disks(
     h is the target edge length on the hole boundaries (requires
     h < eps/4); away from the holes the edge length grows to
     min(max(h, side/32), side/8).  Hole centers must be separated by
-    more than 4*eps in the periodic metric.  The points are
-    triangulated twice: once for the neighbour table that three
-    smoothing rounds share, once after them.  Returns a validated mesh
-    whose only boundary edges are the hole polygons, marked by hole
-    index.
+    more than 4*eps in the periodic metric.  The hole polygon carries
+    n_b vertices and every later collar ring 2*n_b; the rings are
+    stitched, one Delaunay call meshes the background around them, and
+    no point moves once placed.  Returns a validated mesh whose only
+    boundary edges are the hole polygons, marked by hole index.
     """
     if side <= 0:
         raise ConfigurationError(f"side must be > 0, got {side}")
@@ -403,7 +404,7 @@ def mesh_torus_minus_disks(
         points.append(pts)
         return np.arange(start, start + len(pts))
 
-    # square corners and matched edge points (all pinned)
+    # square corners and matched edge points
     n_e = max(8, round(side / h_max))
     step = side / n_e
     ticks = step * np.arange(1, n_e)
@@ -416,19 +417,24 @@ def mesh_torus_minus_disks(
              (corner_idx[3], corner_idx[0])]
     pairs += list(zip(top, bot)) + list(zip(right, left))
 
-    # hole polygons (pinned) and graded collar rings (free)
+    # hole polygons and graded collar rings: ring 0 is the polygon, every
+    # later ring carries n_c = 2*n_b vertices, turned by half a step on
+    # alternate rings, and consecutive rings are stitched into strips
     n_b = max(12, round(2.0 * math.pi * eps / h)) if b else 0
+    n_c = 2 * n_b
     ring_tops = []
-    holes = []
+    holes, outer, strips = [], [], []
     for c in frame:
-        holes.append(add(_ring(c, eps, n_b)))
+        ang = 2.0 * math.pi * np.arange(n_b) / n_b
+        ring = add(_ring(c, eps, ang))
+        holes.append(ring)
         band = (1.0 + _COLLAR_BAND) * eps
         collar_end = min(
             band * h_max / h,
             0.45 * sep_min,
             margin - 0.8 * h_max,
         )
-        r, k, r_top = eps, 0, eps
+        r, k = eps, 0
         while True:
             if r - eps < h:
                 # wall layer: eigenfunctions behave like (eps/r)^q, so the
@@ -442,12 +448,14 @@ def mesh_torus_minus_disks(
                 break
             r += s
             k += 1
-            n_k = max(10, round(2.0 * math.pi * r / s))
-            add(_ring(c, r, n_k, offset=0.5 * (k % 2)))
-            r_top = r
-        ring_tops.append(r_top)
+            nxt_ang = 2.0 * math.pi * (np.arange(n_c) + 0.5 * (k % 2)) / n_c
+            nxt = add(_ring(c, r, nxt_ang))
+            strips.append(_stitch(ring, ang, nxt, nxt_ang))
+            ring, ang = nxt, nxt_ang
+        outer.append(ring)
+        ring_tops.append(r)
 
-    # hex background lattice (free), kept clear of seams and collars
+    # hex background lattice, kept clear of seams and collars
     ny = max(2, round(side / (h_max * math.sqrt(3.0) / 2.0)))
     nx = max(2, round(side / h_max))
     hy, hx = side / ny, side / nx
@@ -462,47 +470,27 @@ def mesh_torus_minus_disks(
     keep &= np.minimum(hexpts[:, 1], side - hexpts[:, 1]) > 0.35 * h_max
     for c, r_top in zip(frame, ring_tops):
         keep &= np.hypot(*(hexpts - c).T) > r_top + 0.55 * h_max
-    add(hexpts[keep])
+    hex_idx = add(hexpts[keep])
 
+    # one Delaunay call on the background: the square's points (added
+    # first), each collar's outermost ring and the hex points; a triangle
+    # whose corners all lie on one outermost ring is inside that collar,
+    # which the strips fill
     pts = np.concatenate(points)
+    bg = np.concatenate([np.arange(right[-1] + 1), *outer, hex_idx])
+    label = np.full(len(pts), -1)
+    for j, ring in enumerate(outer):
+        label[ring] = j
+    simp = bg[Delaunay(pts[bg]).simplices]
+    on = label[simp]
+    simp = simp[(on[:, 0] < 0) | (on[:, 0] != on[:, 1]) | (on[:, 1] != on[:, 2])]
     rings = np.array(holes, dtype=np.int64).reshape(b, n_b)
-    hole = np.full(len(pts), -1)
-    hole[rings] = np.arange(b)[:, None]
-    # smoothing moves neither the square's points (added first) nor the polygons
-    free = (np.arange(len(pts)) > right[-1]) & (hole < 0)
-
-    def triangulate(xy: np.ndarray) -> np.ndarray:
-        simp = Delaunay(xy).simplices
-        # a triangle whose corners all lie on one hole polygon is inside it
-        on = hole[simp]
-        return simp[(on[:, 0] < 0) | (on[:, 0] != on[:, 1]) | (on[:, 1] != on[:, 2])]
-
-    # three Laplacian rounds on the neighbour table of the starting layout
-    # (small moves seldom change it), then the final Delaunay of the moved
-    # points, which fixes any triangle the rounds folded
-    edges, _, _ = _edge_table(triangulate(pts))
-    ends, nbrs = np.concatenate([edges, edges[:, ::-1]]).T
-    cnt = np.bincount(ends, minlength=len(pts))
-    ok = free & (cnt > 0)
-    for _ in range(3):
-        sums = np.column_stack(
-            [np.bincount(ends, pts[nbrs, k], len(pts)) for k in (0, 1)]
-        )
-        avg = sums[ok] / cnt[ok, None]
-        pts[ok] = 0.3 * pts[ok] + 0.7 * avg
-        for c in frame:
-            d = np.hypot(*(pts - c).T)
-            bad = free & (d < eps + 0.45 * h)
-            if np.any(bad):
-                u = (pts[bad] - c) / d[bad, None]
-                pts[bad] = c + (eps + 0.6 * h) * u
-    simp = triangulate(pts)
 
     # hole j's boundary is its polygon, marked j
     be = np.stack([rings, np.roll(rings, -1, axis=1)], axis=-1).reshape(-1, 2)
     mesh = Mesh(
         pts + off,
-        _orient_ccw(pts, simp.astype(np.int64)),
+        _orient_ccw(pts, np.concatenate([simp, *strips]).astype(np.int64)),
         be,
         np.repeat(np.arange(b, dtype=np.int64), n_b),
         np.array(pairs, dtype=np.int64).reshape(-1, 2),

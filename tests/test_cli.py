@@ -62,7 +62,7 @@ def test_exit_codes(capsys, tmp_path):
     )
     capsys.readouterr()
     # criteria indices are validated
-    assert main(["verify-all", "--criteria", "11"]) == 1
+    assert main(["verify-all", "--criteria", "99"]) == 1
     capsys.readouterr()
     # a negative ell range is refused by the model layer
     assert (
@@ -274,6 +274,6 @@ def test_console_script_installed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0].startswith("constant_C")
         # the exit code of main reaches the process status
-        proc = _run_script(cmd, ["verify-all", "--criteria", "11"], tmp_path)
+        proc = _run_script(cmd, ["verify-all", "--criteria", "99"], tmp_path)
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stderr)["error"] == "configuration"

@@ -21,6 +21,7 @@ from steklov_tubes.fem.mesh import _cross2, _edge_table
 from steklov_tubes.fem.solve import assemble
 
 CENTERS = ((0.25, 0.25), (0.75, 0.75))
+THREE_HOLES = (2.0, ((0.3, 1.7), (1.1, 0.2), (1.6, 1.2)))
 
 
 def test_disk_topology(disk_mesh):
@@ -72,19 +73,38 @@ def _worst_opposite_angle_sum(mesh):
 
 
 def test_torus_mesh_is_delaunay(torus_mesh):
-    # the smoothed points are triangulated again, so the angles facing
-    # each interior edge sum to at most pi; smoothing on the first
-    # triangulation alone leaves edges of the eps = 0.04 trend torus at
-    # pi + 0.07
+    # the background is one Delaunay triangulation and the stitched
+    # collar strips keep its condition: the angles facing each interior
+    # edge sum to at most pi (exactly pi, to rounding, where four ring
+    # points are cocircular)
     eps = TREND_EPS[0]
     trend = mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, _trend_h(eps))
     for mesh in (torus_mesh, trend):
         assert _worst_opposite_angle_sum(mesh) <= math.pi + 1e-9
 
 
-def test_torus_triangulates_twice(monkeypatch):
-    # once for the neighbour table the smoothing rounds share, once for
-    # the smoothed points
+def _periodic_distances(mesh, side, center):
+    d = np.abs(mesh.vertices - np.asarray(center)) % side
+    d = np.minimum(d, side - d)
+    return np.hypot(d[:, 0], d[:, 1])
+
+
+def _collar_circles(mesh, side, center, n_b):
+    """(count, radius) of each circle around center carrying n_b or more
+    vertices, innermost first, and the periodic distance of every vertex.
+
+    A circle is a run of sorted distances whose neighbours differ by at
+    most 1e-12; background points never line up n_b at one distance.
+    """
+    d = _periodic_distances(mesh, side, center)
+    r = np.sort(d)
+    runs = np.split(r, np.flatnonzero(np.diff(r) > 1e-12) + 1)
+    return [(len(g), g[0]) for g in runs if len(g) >= n_b], d
+
+
+def test_torus_triangulates_background_once(monkeypatch):
+    # one Delaunay call, on the square's points, the hex points and each
+    # collar's outermost ring; the stitched strips fill the collars
     calls = []
 
     def counting(points, *args, **kwargs):
@@ -96,7 +116,39 @@ def test_torus_triangulates_twice(monkeypatch):
     for eps, h in ((0.05, 0.01), (0.02, 0.02 / 6.0)):
         calls.clear()
         mesh = mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, h)
-        assert calls == [mesh.num_vertices] * 2
+        n_b = np.count_nonzero(mesh.boundary_markers == 0)
+        inner = sum(
+            count
+            for c in TORUS_CENTERS
+            for count, _ in _collar_circles(mesh, 1.0, c, n_b)[0][:-1]
+        )
+        assert calls == [mesh.num_vertices - inner]
+        assert calls[0] < mesh.num_vertices
+
+
+def test_torus_collars_are_structured(torus_mesh):
+    # each collar is the hole polygon and rings of 2 n_b vertices, and
+    # every vertex inside its outermost ring lies on one of them
+    eps, h = 0.05, 0.01
+    n_b = round(2.0 * math.pi * eps / h)
+    side, centers = THREE_HOLES
+    layouts = (
+        (torus_mesh, 1.0, TORUS_CENTERS),
+        (mesh_torus_minus_disks(side, centers, eps, h), side, centers),
+    )
+    for mesh, side, centers in layouts:
+        counts = []
+        for j, c in enumerate(centers):
+            circles, d = _collar_circles(mesh, side, c, n_b)
+            (n_poly, r_poly), *rings = circles
+            assert r_poly == pytest.approx(eps, rel=0.0, abs=1e-12)
+            assert n_poly == n_b == np.count_nonzero(mesh.boundary_markers == j)
+            assert {n for n, _ in rings} == {2 * n_b}
+            outer = rings[-1][1]
+            assert outer > (1.0 + mesh_mod._COLLAR_BAND) * eps
+            assert np.count_nonzero(d <= outer + 1e-12) == sum(n for n, _ in circles)
+            counts.append([n for n, _ in circles])
+        assert all(row == counts[0] for row in counts)
 
 
 def test_torus_vertices_on_circles(torus_mesh):
@@ -108,26 +160,20 @@ def test_torus_vertices_on_circles(torus_mesh):
         assert np.allclose(r, 0.05, rtol=1e-12, atol=1e-12)
 
 
-def _periodic_radii(mesh, side, center, marker):
-    idx = np.unique(mesh.boundary_edges[mesh.boundary_markers == marker].ravel())
-    d = np.abs(mesh.vertices[idx] - np.asarray(center)) % side
-    d = np.minimum(d, side - d)
-    return np.hypot(d[:, 0], d[:, 1])
-
-
 def test_translated_holes(torus_mesh):
     # centers below the chosen square offset: hole j still carries marker j
     # and its polygon sits on its own circle
     layouts = (
         (1.0, ((0.1, 0.1), (0.6, 0.6))),
-        (2.0, ((0.3, 1.7), (1.1, 0.2), (1.6, 1.2))),
+        THREE_HOLES,
     )
     for side, centers in layouts:
         mesh = mesh_torus_minus_disks(side, centers, 0.05, 0.01)
         assert mesh.euler_characteristic() == -len(centers)
         assert set(np.unique(mesh.boundary_markers)) == set(range(len(centers)))
         for j, c in enumerate(centers):
-            r = _periodic_radii(mesh, side, c, j)
+            idx = np.unique(mesh.boundary_edges[mesh.boundary_markers == j])
+            r = _periodic_distances(mesh, side, c)[idx]
             assert np.allclose(r, 0.05, rtol=0.0, atol=1e-12)
     # translating both holes leaves the spectrum alone
     shifted = mesh_torus_minus_disks(1.0, layouts[0][1], 0.05, 0.01)
