@@ -18,12 +18,16 @@ Output tables are byte-stable: floats are written with repr, JSON keys
 are sorted, and no timestamps appear in any artifact.  Run metadata
 that is not part of the artifact (the delta in effect, progress lines)
 goes to stderr.
+
+main(argv) may be called repeatedly in one process: it builds the
+argument parser on its first call and reuses it on every later one.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -329,6 +333,7 @@ def _add_output_flags(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="steklov-tubes", description=__doc__.split("\n")[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -393,15 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--centers",
         nargs="+",
-        default=["0.25,0.25", "0.75,0.75"],
+        default=("0.25,0.25", "0.75,0.75"),
         help="hole centers as x,y pairs",
     )
     sub.add_argument("--eps", type=float, default=None, help="hole radius (torus)")
     sub.add_argument(
         "--neumann", action="store_true", help="Laplace-Neumann instead of Steklov"
     )
-    sub.add_argument("--dirichlet-markers", type=int, nargs="*", default=[])
-    sub.add_argument("--neumann-markers", type=int, nargs="*", default=[])
+    sub.add_argument("--dirichlet-markers", type=int, nargs="*", default=())
+    sub.add_argument("--neumann-markers", type=int, nargs="*", default=())
     _add_output_flags(sub)
     sub.set_defaults(func=_cmd_fem)
 

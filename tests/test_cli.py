@@ -1,5 +1,6 @@
 """Command line driver: exit codes, anchors, and byte-stable artifacts."""
 
+import argparse
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from steklov_tubes import cli
 from steklov_tubes.cli import main
 from steklov_tubes.spherecaps import sigma_pm
 
@@ -131,6 +133,39 @@ def test_exit_codes(capsys, tmp_path):
         capsys.readouterr()
     assert not fresh.exists()
     assert old.read_text() == "old\n"
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    # the parser is built by the first main() of the process at the latest
+    assert main(["bounds", "--scenario", TORUS]) == 0
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    assert main(["bounds", "--scenario", TORUS]) == 0
+    capsys.readouterr()
+    assert added == []
+    # the counter does see a build
+    cli.build_parser.__wrapped__()
+    assert len(added) > 50
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    fem = ["fem", "--domain", "annulus", "--h", "0.1", "--count", "4"]
+    a, b, fresh = (tmp_path / f"{name}.csv" for name in ("A", "B", "fresh"))
+    assert main(fem + ["--dirichlet-markers", "0", "--out", str(a)]) == 0
+    assert main(fem[:-1] + ["x"]) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "configuration"
+    assert main(fem + ["--out", str(b)]) == 0
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert main(fem + ["--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert b.read_bytes() == fresh.read_bytes()
+    assert a.read_bytes() != b.read_bytes()
 
 
 def test_sphere_caps_anchor(capsys):
