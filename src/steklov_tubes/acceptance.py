@@ -14,9 +14,9 @@ Each criterion exercises one quantitative claim end to end:
   10  Bessel Wronskian identity and the radial scaling law
 
 run() executes a subset and returns one CriterionResult per criterion;
-heavy artifacts (meshes, spectra) are built once in a SuiteCache and
-shared.  Checks record one line per assertion; any line starting with
-"FAIL" fails its criterion.  Everything random is seeded.
+meshes are built once in a SuiteCache and shared, and each mesh solves
+its spectra once.  Checks record one line per assertion; any line
+starting with "FAIL" fails its criterion.  Everything random is seeded.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class CriterionResult:
 
 
 class SuiteCache:
-    """Memoizes meshes and spectra shared between criteria."""
+    """Memoizes the meshes shared between criteria; each mesh memoizes its spectra."""
 
     def __init__(self):
         self._store: dict = {}
@@ -101,18 +101,6 @@ class SuiteCache:
         return self._get(
             ("torus", eps, h),
             lambda: mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, h),
-        )
-
-    def torus_steklov(self, eps: float, h: float, count: int) -> np.ndarray:
-        return self._get(
-            ("torus-steklov", eps, h, count),
-            lambda: steklov_spectrum(self.torus_mesh(eps, h), count),
-        )
-
-    def torus_neumann(self, eps: float, h: float, count: int) -> np.ndarray:
-        return self._get(
-            ("torus-neumann", eps, h, count),
-            lambda: neumann_spectrum(self.torus_mesh(eps, h), count),
         )
 
     def annulus_mesh(self, h: float):
@@ -207,7 +195,7 @@ def _criterion_2(cache: SuiteCache, seed: int) -> list[str]:
 def _criterion_3(cache: SuiteCache, seed: int) -> list[str]:
     lines: list[str] = []
     h = BRACKET_EPS / 6.0
-    fem_vals = cache.torus_steklov(BRACKET_EPS, h, 10)
+    fem_vals = steklov_spectrum(cache.torus_mesh(BRACKET_EPS, h), 10)
     scenario = torus_scenario()
     pairs = families.bracket(scenario, BRACKET_EPS, BRACKET_DELTA, 8)
     for ell, (lower, upper) in enumerate(pairs):
@@ -229,7 +217,7 @@ def _criterion_4(cache: SuiteCache, seed: int) -> list[str]:
     lines: list[str] = []
     devs = []
     for eps in TREND_EPS:
-        vals = cache.torus_steklov(eps, _trend_h(eps), 3)
+        vals = steklov_spectrum(cache.torus_mesh(eps, _trend_h(eps)), 3)
         devs.append(abs(eps * float(vals[2]) - 1.0))
     for (eps, dev), prev in zip(zip(TREND_EPS[1:], devs[1:]), devs):
         _check(lines, dev < prev, f"deviation {dev:.5f} < {prev:.5f} at eps={eps}")
@@ -245,7 +233,7 @@ def _criterion_5(cache: SuiteCache, seed: int) -> list[str]:
     lines: list[str] = []
     limit = bounds_mod.upper_bound_limit(torus_scenario())
     eps = 0.01
-    sig1 = float(cache.torus_steklov(eps, eps / 6.0, 2)[1])
+    sig1 = float(steklov_spectrum(cache.torus_mesh(eps, eps / 6.0), 2)[1])
     _check(
         lines,
         eps * sig1 <= 1.1 * limit,
@@ -279,7 +267,7 @@ def _criterion_6(cache: SuiteCache, seed: int) -> list[str]:
     )
     _check(lines, report.binding_term == "spectral", f"binding {report.binding_term}")
     for eps in TREND_EPS:
-        sig1 = float(cache.torus_steklov(eps, eps / 6.0, 2)[1])
+        sig1 = float(steklov_spectrum(cache.torus_mesh(eps, eps / 6.0), 2)[1])
         res = bounds_mod.lower_bound_check(torus_scenario(), eps, sig1, slack=0.0)
         _check(
             lines,
@@ -304,7 +292,7 @@ def _criterion_6(cache: SuiteCache, seed: int) -> list[str]:
 def _criterion_7(cache: SuiteCache, seed: int) -> list[str]:
     lines: list[str] = []
     eps = 0.01
-    lam1 = float(cache.torus_neumann(eps, eps / 6.0, 2)[1])
+    lam1 = float(neumann_spectrum(cache.torus_mesh(eps, eps / 6.0), 2)[1])
     rel = abs(lam1 - LAMBDA1_TORUS) / LAMBDA1_TORUS
     _check(
         lines,
@@ -374,13 +362,11 @@ def _criterion_8(cache: SuiteCache, seed: int) -> list[str]:
     )
     _check(lines, fails == 0, f"dirichlet energy: {fails}/100 failures")
 
-    h = BRACKET_EPS / 6.0
-    torus = cache.torus_mesh(BRACKET_EPS, h)
+    torus = cache.torus_mesh(BRACKET_EPS, BRACKET_EPS / 6.0)
     dof, ndof = torus.dof_map()
     tris_a, tris_b = _torus_regions(torus)
-    lam1 = float(cache.torus_neumann(BRACKET_EPS, h, 2)[1])
     fails = sum(
-        not poincare_check(torus, f, tris_a, tris_b, lambda1=lam1).holds
+        not poincare_check(torus, f, tris_a, tris_b).holds
         for f in _random_torus_functions(torus, dof, ndof, rng, 100)
     )
     _check(lines, fails == 0, f"poincare: {fails}/100 failures")

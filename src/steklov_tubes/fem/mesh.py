@@ -88,10 +88,11 @@ class Mesh:
 
     The arrays are read-only copies of the constructor's, so a generator
     finishes every array, the torus boundary included, before it builds
-    the mesh.  The dof map, the operators of solve.assemble, and the
-    areas, lambda_1 and boundary masses of fem.checks are cached on the
-    instance, so every check and solve on one mesh object shares them;
-    dataclasses.replace gives a new mesh with a fresh cache.
+    the mesh.  The dof map, the operators of solve.assemble, the Steklov
+    and Neumann spectra of fem.solve, and the areas and boundary masses
+    of fem.checks are cached on the instance, so every check and solve on
+    one mesh object shares them; dataclasses.replace gives a new mesh
+    with a fresh cache.
     """
 
     vertices: np.ndarray          # (nv, 2)
@@ -109,12 +110,13 @@ class Mesh:
             object.__setattr__(self, f.name, arr)
         object.__setattr__(self, "_cache", {})
 
-    def cached(self, key: str, build):
-        """build(self), computed once per mesh object; an array result is read-only."""
+    def cached(self, key, build):
+        """build(self), computed once per key; its arrays, bare or in a tuple, are read-only."""
         if key not in self._cache:
             value = self._cache[key] = build(self)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
         return self._cache[key]
 
     @property
@@ -136,7 +138,6 @@ class Mesh:
             n, pairs = m.num_vertices, m.periodic_pairs
             graph = coo_matrix((np.ones(len(pairs)), pairs.T), (n, n))
             ndof, dof = connected_components(graph, directed=False)
-            dof.flags.writeable = False
             return dof, ndof
 
         return self.cached("dof_map", build)

@@ -227,12 +227,21 @@ def steklov_spectrum(
     """First `count` Steklov eigenvalues (ascending), optionally with modes.
 
     Modes are returned as vertex-space functions, one column per
-    eigenvalue, normalized in the boundary mass.
+    eigenvalue, normalized in the boundary mass.  Solved once per mesh
+    object and arguments; the arrays returned are read-only.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     present = set(int(m) for m in np.unique(mesh.boundary_markers))
     dset, steklov_markers = split_markers(present, dirichlet_markers, neumann_markers)
+    nset = present - dset - steklov_markers
+    key = ("steklov", count, tuple(sorted(dset)), tuple(sorted(nset)), return_modes)
+    return mesh.cached(key, lambda m: _steklov(m, count, dset, steklov_markers, return_modes))
+
+
+def _steklov(
+    mesh: Mesh, count: int, dset: set[int], steklov_markers: set[int], return_modes: bool
+):
     K, _, dof, ndof = assemble(mesh)
     d_vec = boundary_mass(mesh, steklov_markers, dof, ndof)
 
@@ -262,10 +271,12 @@ def steklov_spectrum(
 
 
 def neumann_spectrum(mesh: Mesh, count: int) -> np.ndarray:
-    """First `count` Neumann eigenvalues of the mesh, ascending from ~0."""
+    """First `count` Neumann eigenvalues, ascending from ~0; solved once per mesh, read-only."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     K, M, _, ndof = assemble(mesh)
     if count > ndof:
         raise ConfigurationError(f"requested {count} eigenvalues of {ndof} dofs")
-    return _pencil_eigs(K, M, count, 1.0 / float(M.sum()))
+    return mesh.cached(
+        ("neumann", count), lambda m: _pencil_eigs(K, M, count, 1.0 / float(M.sum()))
+    )

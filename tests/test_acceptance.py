@@ -9,6 +9,7 @@ The same suite is reachable from the command line as
 import pytest
 
 from steklov_tubes import acceptance
+from steklov_tubes.fem import solve
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +64,16 @@ def test_criterion_09_fem_vs_closed_forms(cache):
 
 def test_criterion_10_kernels_and_scaling(cache):
     _run(10, cache)
+
+
+def test_criteria_share_one_steklov_solve_per_mesh(monkeypatch):
+    # criteria 5 and 6 both read sigma_1 of the eps = 0.01, h = eps/6
+    # torus; the mesh caches its spectrum, so it is factored once
+    cache = acceptance.SuiteCache()
+    sizes = []
+    real = solve._factor
+    monkeypatch.setattr(solve, "_factor", lambda A: sizes.append(A.shape[0]) or real(A))
+    assert all(res.passed for res in acceptance.run([5, 6], cache=cache))
+    _, ndof = cache.torus_mesh(0.01, 0.01 / 6.0).dof_map()
+    assert sizes.count(ndof) == 1
+    assert len(sizes) == len(acceptance.TREND_EPS)

@@ -142,7 +142,9 @@ def test_poincare_solves_lambda1_once_per_mesh(disk_mesh, monkeypatch):
     second = poincare_check(mesh, xy[:, 1], np.arange(0, 40), np.arange(40, 80))
     assert len(solves) == 1
     assert first.holds and second.holds
-    # the cached lambda_1 is the one a caller would pass
+    # the cached lambda_1 is the one a caller would pass, and asking
+    # for it solves nothing more
     lambda1 = float(solve.neumann_spectrum(mesh, 2)[1])
+    assert len(solves) == 1
     again = poincare_check(mesh, xy[:, 0], np.arange(0, 40), np.arange(40, 80), lambda1)
     assert again == first

@@ -7,6 +7,7 @@ and SD model families.  The bare unit torus has Neumann spectrum
 4 pi^2 (p^2 + q^2) with multiplicity 4 at the first gap.
 """
 
+import dataclasses
 import json
 import math
 
@@ -174,9 +175,11 @@ def test_steklov_lanczos_on_boundary_space(annulus_mesh, monkeypatch):
         solve, "_block_lanczos", lambda apply, n, k: sizes.append(n) or real_lanczos(apply, n, k)
     )
     monkeypatch.setattr(solve, "eigsh", lambda *a, **kw: pytest.fail("eigsh called"))
-    steklov_spectrum(annulus_mesh, 8)
-    _, _, dof, ndof = assemble(annulus_mesh)
-    n_s = int(np.count_nonzero(boundary_mass(annulus_mesh, {0, 1}, dof, ndof)))
+    # a fresh copy, so that no spectrum of another test is cached on it
+    mesh = dataclasses.replace(annulus_mesh)
+    steklov_spectrum(mesh, 8)
+    _, _, dof, ndof = assemble(mesh)
+    n_s = int(np.count_nonzero(boundary_mass(mesh, {0, 1}, dof, ndof)))
     assert sizes == [n_s]
     assert n_s < ndof
     assert rhs and all(shape[0] == ndof and shape[1] <= 2 for shape in rhs)
@@ -286,6 +289,31 @@ def test_pencil_failures_are_numerical(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "numerical"
 
 
+def test_spectra_solved_once_per_mesh(annulus_mesh, monkeypatch):
+    # the marker lists are keyed as sets: a list and a tuple share one solve
+    mesh = dataclasses.replace(annulus_mesh)
+    factored = []
+    real = solve._factor
+    monkeypatch.setattr(solve, "_factor", lambda A: factored.append(A.shape) or real(A))
+    vals = steklov_spectrum(mesh, 8, dirichlet_markers=[0])
+    assert steklov_spectrum(mesh, 8, dirichlet_markers=(0,)) is vals
+    assert len(factored) == 1
+    lam = neumann_spectrum(mesh, 3)
+    assert neumann_spectrum(mesh, 3) is lam
+    assert len(factored) == 2
+    # return_modes is part of the key
+    steklov_spectrum(mesh, 8, dirichlet_markers=(0,), return_modes=True)
+    assert len(factored) == 3
+
+
+def test_cached_spectra_are_read_only(annulus_mesh):
+    mesh = dataclasses.replace(annulus_mesh)
+    vals, modes = steklov_spectrum(mesh, 3, neumann_markers=(1,), return_modes=True)
+    for arr in (vals, modes, steklov_spectrum(mesh, 3), neumann_spectrum(mesh, 3)):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_assemble_partition_of_unity(annulus_mesh):
     K, M, dof, ndof = assemble(annulus_mesh)
     ones = np.ones(ndof)
@@ -323,3 +351,11 @@ def test_marker_validation(annulus_mesh):
         steklov_spectrum(annulus_mesh, 3, dirichlet_markers=(0, 1))
     with pytest.raises(ValueError):
         steklov_spectrum(annulus_mesh, 0)
+    # more eigenvalues than dofs, on every call: an error is never cached
+    _, _, dof, ndof = assemble(annulus_mesh)
+    n_s = int(np.count_nonzero(boundary_mass(annulus_mesh, {0, 1}, dof, ndof)))
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="boundary dofs"):
+            steklov_spectrum(annulus_mesh, n_s + 1)
+        with pytest.raises(ConfigurationError, match="of .* dofs"):
+            neumann_spectrum(annulus_mesh, ndof + 1)
