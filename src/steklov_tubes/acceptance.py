@@ -233,7 +233,7 @@ def _criterion_5(cache: SuiteCache, seed: int) -> list[str]:
     lines: list[str] = []
     limit = bounds_mod.upper_bound_limit(torus_scenario())
     eps = 0.01
-    sig1 = float(steklov_spectrum(cache.torus_mesh(eps, eps / 6.0), 2)[1])
+    sig1 = float(steklov_spectrum(cache.torus_mesh(eps, eps / 6.0), 3)[1])
     _check(
         lines,
         eps * sig1 <= 1.1 * limit,
@@ -267,7 +267,7 @@ def _criterion_6(cache: SuiteCache, seed: int) -> list[str]:
     )
     _check(lines, report.binding_term == "spectral", f"binding {report.binding_term}")
     for eps in TREND_EPS:
-        sig1 = float(steklov_spectrum(cache.torus_mesh(eps, eps / 6.0), 2)[1])
+        sig1 = float(steklov_spectrum(cache.torus_mesh(eps, eps / 6.0), 3)[1])
         res = bounds_mod.lower_bound_check(torus_scenario(), eps, sig1, slack=0.0)
         _check(
             lines,

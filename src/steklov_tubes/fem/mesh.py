@@ -5,7 +5,11 @@ Three generators:
   * mesh_planar(Disk(R), h): spiderweb mesh, ring i carries 6i vertices,
     so refining h by 2 roughly quadruples the vertex count and meshes of
     different h are geometrically similar.
-  * mesh_planar(Annulus(r_in, r_out), h): structured polar grid.
+  * mesh_planar(Annulus(r_in, r_out), h): structured polar grid of
+    rings with n_t equally spaced vertices each, vertex i*n_t + k on ring
+    i at angle 2 pi k / n_t.  Turning by one ray maps it onto itself; it
+    says so through Mesh.rays = n_t, so that fem.solve can split its
+    Steklov pencil into n_t Fourier sectors.
   * mesh_torus_minus_disks(side, centers, eps, h): fundamental square of
     a flat torus with circular holes.  Hole boundaries are exact
     inscribed polygons at edge length h; around each, graded polar rings
@@ -93,6 +97,13 @@ class Mesh:
     of fem.checks are cached on the instance, so every check and solve on
     one mesh object shares them; dataclasses.replace gives a new mesh
     with a fresh cache.
+
+    rays > 0 declares the ray-periodic layout of the annulus generator:
+    vertex i*rays + k on ring i, and turning by one ray (k -> k + 1 mod
+    rays) maps the mesh onto itself.  fem.solve checks the declaration
+    against the assembled stiffness before it relies on it.  save does
+    not write it, so a loaded mesh has rays = 0 and takes the general
+    solver.
     """
 
     vertices: np.ndarray          # (nv, 2)
@@ -102,9 +113,12 @@ class Mesh:
     periodic_pairs: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 2), dtype=np.int64)
     )
+    rays: int = 0
 
     def __post_init__(self):
         for f in fields(self):
+            if f.name == "rays":
+                continue
             arr = np.array(getattr(self, f.name))
             arr.flags.writeable = False
             object.__setattr__(self, f.name, arr)
@@ -317,7 +331,9 @@ def _mesh_annulus(r_in: float, r_out: float, h: float) -> Mesh:
     triangles = _orient_ccw(vertices, cells.reshape(-1, 3))
     ring = np.column_stack([a[:n_t], d[:n_t]])
     be = np.concatenate([ring, ring + n_r * n_t])
-    mesh = Mesh(vertices, triangles, be, np.repeat(np.arange(2, dtype=np.int64), n_t))
+    mesh = Mesh(
+        vertices, triangles, be, np.repeat(np.arange(2, dtype=np.int64), n_t), rays=n_t
+    )
     mesh.validate()
     return mesh
 

@@ -27,6 +27,25 @@ at |C y - mu y| <= RESIDUAL mu by the block estimate (tested as if it
 falls at most 100-fold a step), then by the true residual; n_s vectors
 are exact.  Modes: u = A^-1 W y / mu, so u^T B u = |y|^2.
 
+A mesh that declares rays = n_t (the structured annulus) takes a third
+path for Steklov eigenvalues without modes.  Its vertex i*n_t + k sits
+on ring i and ray k, and turning by one ray maps the mesh onto itself,
+so K is block-circulant in the rays (P. J. Davis, Circulant Matrices,
+1979): K0 couples a ray to itself, K1 to the next and K1^T to the one
+before.  One pass over K's entries checks that each equals its twin in
+the ray-0 rows to 1e-12 max|K| and that those rows sum to zero
+(NumericalError otherwise), and the blocks are read off those rows.
+The Fourier sector j, u_k = v w^(jk) with w = exp(2 pi i / n_t), turns
+the pencil into the tridiagonal Hermitian K_j = K0 + w^j K1 + w^-j K1^T
+on the rings, formed as the zero-row-sum K_j at j = 0 plus (w^j - 1) K1
++ (w^-j - 1) K1^T, so the small sector terms carry no cancellation.
+One banded Hermitian solve over all sectors eliminates the interior and
+Neumann rings onto the at most two Steklov rings, and the eigenvalues
+are those of the batched D^-1/2 S_j D^-1/2, rounding below zero
+clipped.  No sparse factorization is made.  Modes, Neumann spectra,
+tori, disks and loaded meshes (which carry no rays) take the general
+path.
+
 Because A is SPD, LU needs no pivoting to be stable, so SuperLU factors
 it symmetrically: symmetric mode, zero diagonal-pivot threshold and a
 minimum-degree ordering of A + A^T = A (SuperLU Users' Guide, Li,
@@ -42,7 +61,7 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, eigh
+from scipy.linalg import LinAlgError, eigh, solveh_banded
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from ..errors import ConfigurationError, NumericalError
@@ -217,6 +236,66 @@ def _boundary_eigs(K, d: np.ndarray, count: int, tau: float, return_modes: bool 
     return vals, x / np.linalg.norm(Wt @ x, axis=0)
 
 
+def _sector_eigs(K, d: np.ndarray, fixed: np.ndarray, rays: int) -> np.ndarray:
+    """Every Steklov eigenvalue of a ray-periodic mesh, row j for sector j.
+
+    Dof i*rays + k is ring i, ray k.  Returns (rays, n_S) eigenvalues,
+    each row ascending, n_S the number of Steklov rings.
+    """
+    n, Kc = K.shape[0], K.tocoo()
+    rings = n // rays
+    (ri, rk), (ci, ck) = np.divmod(Kc.row, rays), np.divmod(Kc.col, rays)
+    off, side = (ck - rk) % rays, ci - ri + 1  # side 0, 1, 2: ring below, same, above
+    turn = np.select([off == 0, off == 1, off == rays - 1], [0, 1, 2], -1)  # by 0, +1, -1 rays
+    broken = NumericalError(f"the mesh is not invariant under turning by one of {rays} rays")
+    if rays < 3 or rings * rays != n or np.any((turn < 0) | (side < 0) | (side > 2)):
+        raise broken
+    # B[turn, i, side]: the ray-0 row of ring i, where every entry of K has its twin
+    at0 = rk == 0
+    B = np.zeros((3, rings, 3))
+    B[turn[at0], ri[at0], side[at0]] = Kc.data[at0]
+    nnz = np.diff(K.indptr).reshape(rings, rays)
+    d_r, fixed_r = d.reshape(rings, rays), fixed.reshape(rings, rays)
+    tol = 1e-12 * np.abs(Kc.data).max()
+    if not (
+        np.all(nnz == nnz[:, :1])
+        and np.all(np.abs(Kc.data - B[turn, ri, side]) <= tol)
+        and np.all(np.abs(B.sum(axis=(0, 2))) <= tol)
+        and np.all(np.abs(d_r - d_r[:, :1]) <= 1e-12 * d.max())
+        and np.all(fixed_r == fixed_r[:, :1])
+    ):
+        raise broken
+
+    # sector j: K_j = K0 + w^j K1 + w^-j K1^T as K_j at j = 0, with the
+    # zero row sums of a P1 stiffness, plus (w^j - 1) K1 + (w^-j - 1) K1^T
+    R0 = B.sum(axis=0)
+    R0[:, 1] = -(R0[:, 0] + R0[:, 2])
+    theta = 2.0 * np.pi * np.fft.fftfreq(rays)[:, None, None]
+    wm1 = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)  # w^j - 1
+    R = R0 + wm1 * B[1] + wm1.conj() * B[2]
+    diag = R[..., 1].real
+    sup = np.zeros((rays, rings), dtype=complex)  # (i, i + 1), zero past the last ring
+    sup[:, :-1] = 0.5 * (R[:, :-1, 2] + R[:, 1:, 0].conj())
+
+    def entry(p, q):
+        """(K_j)[p, q] for every sector j, broadcast over ring indices p, q."""
+        lo = np.minimum(p, q)
+        near = np.where(q > p, sup[:, lo], sup[:, lo].conj())
+        return np.where(p == q, diag[:, p], np.where(np.abs(p - q) == 1, near, 0.0))
+
+    S = np.flatnonzero((d_r[:, 0] > 0) & ~fixed_r[:, 0])
+    I = np.flatnonzero((d_r[:, 0] == 0) & ~fixed_r[:, 0])
+    band = np.zeros((2, rays, len(I)), dtype=complex)  # upper form, blocks apart
+    band[0, :, 1:] = entry(I[:-1], I[1:])
+    band[1] = entry(I, I)
+    KIS = entry(I[:, None], S[None, :])
+    with _numerical_errors():
+        X = solveh_banded(band.reshape(2, -1), KIS.reshape(-1, len(S))).reshape(KIS.shape)
+        schur = entry(S[:, None], S[None, :]) - KIS.conj().transpose(0, 2, 1) @ X
+        scale = 1.0 / np.sqrt(d_r[S, 0])
+        return np.linalg.eigvalsh(scale[:, None] * schur * scale)
+
+
 def steklov_spectrum(
     mesh: Mesh,
     count: int,
@@ -255,6 +334,9 @@ def _steklov(
             f"requested {count} eigenvalues but only {n_steklov} boundary dofs"
         )
 
+    if mesh.rays and not return_modes:
+        sigmas = np.sort(_sector_eigs(K, d_vec, fixed, mesh.rays), axis=None)[:count]
+        return np.maximum(sigmas, 0.0)  # as _lam clips rounding below zero
     out = _boundary_eigs(
         K[free][:, free],
         d_vec[free],

@@ -25,7 +25,7 @@ the check prints them), and keeps every other entry byte for byte:
     PYTHONPATH=src python tests/golden/model.py [--fem] --update ["ARGV" ...]
 
 The test suite checks every entry except FEM_SLOW (verify-all, about
-4 s), which only the `--fem` command runs.
+2 s), which only the `--fem` command runs.
 """
 
 from __future__ import annotations

@@ -66,14 +66,29 @@ def test_criterion_10_kernels_and_scaling(cache):
     _run(10, cache)
 
 
-def test_criteria_share_one_steklov_solve_per_mesh(monkeypatch):
-    # criteria 5 and 6 both read sigma_1 of the eps = 0.01, h = eps/6
-    # torus; the mesh caches its spectrum, so it is factored once
-    cache = acceptance.SuiteCache()
+def _record_factors(monkeypatch):
     sizes = []
     real = solve._factor
     monkeypatch.setattr(solve, "_factor", lambda A: sizes.append(A.shape[0]) or real(A))
-    assert all(res.passed for res in acceptance.run([5, 6], cache=cache))
+    return sizes
+
+
+def test_criteria_share_one_steklov_solve_per_mesh(monkeypatch):
+    # criteria 5 and 6 both read sigma_1 of the eps = 0.01, h = eps/6
+    # torus, and criteria 4 and 6 the eps = 0.04 torus, whose trend h is
+    # eps/6; all three ask for 3 eigenvalues, so each torus is factored
+    # once: criterion 4's three tori, and criterion 6's eps 0.02 and 0.01
+    cache = acceptance.SuiteCache()
+    sizes = _record_factors(monkeypatch)
+    assert all(res.passed for res in acceptance.run([4, 5, 6], cache=cache))
     _, ndof = cache.torus_mesh(0.01, 0.01 / 6.0).dof_map()
     assert sizes.count(ndof) == 1
-    assert len(sizes) == len(acceptance.TREND_EPS)
+    assert len(sizes) == 5
+
+
+def test_criterion_9_factors_only_the_disk(monkeypatch):
+    # the annulus is solved by Fourier sectors, with no factorization
+    cache = acceptance.SuiteCache()
+    sizes = _record_factors(monkeypatch)
+    assert acceptance.run([9], cache=cache)[0].passed
+    assert sizes == [cache.disk_mesh(0.02).dof_map()[1]]

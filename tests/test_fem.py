@@ -21,7 +21,9 @@ from steklov_tubes.acceptance import TORUS_CENTERS, _annulus_reference
 from steklov_tubes.cli import main
 from steklov_tubes.errors import ConfigurationError, NumericalError
 from steklov_tubes.fem import (
+    Annulus,
     Disk,
+    Mesh,
     mesh_planar,
     mesh_torus_minus_disks,
     neumann_spectrum,
@@ -129,6 +131,9 @@ def _check_modes(mesh, vals, modes, K, d, fixed):
 )
 def test_steklov_matches_dense_schur(annulus_mesh, dirichlet, neumann):
     ref, (K, d, fixed) = _schur_reference(annulus_mesh, dirichlet, neumann)
+    # without modes the annulus takes the Fourier sectors
+    vals = steklov_spectrum(annulus_mesh, 8, dirichlet_markers=dirichlet, neumann_markers=neumann)
+    assert list(vals) == pytest.approx(list(ref[:8]), rel=1e-10, abs=1e-10)
     vals, modes = steklov_spectrum(
         annulus_mesh, 8, dirichlet_markers=dirichlet, neumann_markers=neumann, return_modes=True
     )
@@ -175,8 +180,9 @@ def test_steklov_lanczos_on_boundary_space(annulus_mesh, monkeypatch):
         solve, "_block_lanczos", lambda apply, n, k: sizes.append(n) or real_lanczos(apply, n, k)
     )
     monkeypatch.setattr(solve, "eigsh", lambda *a, **kw: pytest.fail("eigsh called"))
-    # a fresh copy, so that no spectrum of another test is cached on it
-    mesh = dataclasses.replace(annulus_mesh)
+    # a fresh copy, so that no spectrum of another test is cached on it,
+    # that does not declare its rays, so that it takes this path
+    mesh = dataclasses.replace(annulus_mesh, rays=0)
     steklov_spectrum(mesh, 8)
     _, _, dof, ndof = assemble(mesh)
     n_s = int(np.count_nonzero(boundary_mass(mesh, {0, 1}, dof, ndof)))
@@ -289,12 +295,17 @@ def test_pencil_failures_are_numerical(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "numerical"
 
 
-def test_spectra_solved_once_per_mesh(annulus_mesh, monkeypatch):
-    # the marker lists are keyed as sets: a list and a tuple share one solve
-    mesh = dataclasses.replace(annulus_mesh)
+def _count_factors(monkeypatch):
     factored = []
     real = solve._factor
     monkeypatch.setattr(solve, "_factor", lambda A: factored.append(A.shape) or real(A))
+    return factored
+
+
+def test_spectra_solved_once_per_mesh(annulus_mesh, monkeypatch):
+    # the marker lists are keyed as sets: a list and a tuple share one solve
+    mesh = dataclasses.replace(annulus_mesh, rays=0)
+    factored = _count_factors(monkeypatch)
     vals = steklov_spectrum(mesh, 8, dirichlet_markers=[0])
     assert steklov_spectrum(mesh, 8, dirichlet_markers=(0,)) is vals
     assert len(factored) == 1
@@ -359,3 +370,84 @@ def test_marker_validation(annulus_mesh):
             steklov_spectrum(annulus_mesh, n_s + 1)
         with pytest.raises(ConfigurationError, match="of .* dofs"):
             neumann_spectrum(annulus_mesh, ndof + 1)
+
+
+MARKER_SETS = [((), ()), ((0,), ()), ((), (0,)), ((1,), ())]
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02])
+@pytest.mark.parametrize("dirichlet, neumann", MARKER_SETS)
+def test_sector_path_matches_lanczos(h, dirichlet, neumann, monkeypatch):
+    # the same annulus with rays = 0 takes SuperLU and block Lanczos
+    mesh = mesh_planar(Annulus(0.5, 1.0), h)
+    general = dataclasses.replace(mesh, rays=0)
+    _, _, dof, ndof = assemble(mesh)
+    steklov = {0, 1} - set(dirichlet) - set(neumann)
+    n_s = int(np.count_nonzero(boundary_mass(mesh, steklov, dof, ndof)))
+    factored = _count_factors(monkeypatch)
+    kw = dict(dirichlet_markers=dirichlet, neumann_markers=neumann)
+    for count in (1, 8, n_s):
+        vals = steklov_spectrum(mesh, count, **kw)
+        assert not factored
+        ref = steklov_spectrum(general, count, **kw)
+        assert factored and len(vals) == count
+        assert list(vals) == pytest.approx(list(ref), rel=1e-10, abs=1e-10)
+        factored.clear()
+
+
+def test_sector_against_mpmath():
+    # sector j = 1 of the h = 0.05 annulus, both circles Steklov: K_1 is
+    # sum_k K[(i, 0), (i', k)] w^k over the assembled rows of ray 0, and
+    # its interior rings are eliminated onto the circles in 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    mesh = mesh_planar(Annulus(0.5, 1.0), 0.05)
+    K, _, dof, ndof = assemble(mesh)
+    d = boundary_mass(mesh, {0, 1}, dof, ndof)
+    got = solve._sector_eigs(K, d, np.zeros(ndof, dtype=bool), mesh.rays)[1]
+    n_t, rings = mesh.rays, ndof // mesh.rays
+    with mpmath.workdps(30):
+        w = mpmath.expjpi(mpmath.mpf(2) / n_t)
+        Kj = mpmath.matrix(rings, rings)
+        rows = K[np.arange(rings) * n_t].tocoo()
+        for i, c, v in zip(rows.row, rows.col, rows.data):
+            Kj[int(i), int(c) // n_t] += mpmath.mpf(float(v)) * w ** (int(c) % n_t)
+        S, I = [0, rings - 1], list(range(1, rings - 1))
+        KII = mpmath.matrix([[Kj[a, b] for b in I] for a in I])
+        schur = mpmath.matrix(2, 2)
+        for a, p in enumerate(S):
+            x = mpmath.lu_solve(KII, mpmath.matrix([Kj[b, p] for b in I]))
+            for b, q in enumerate(S):
+                back = sum(Kj[q, I[r]] * x[r] for r in range(len(I)))
+                schur[b, a] = (Kj[q, p] - back) / mpmath.sqrt(
+                    mpmath.mpf(float(d[q * n_t])) * mpmath.mpf(float(d[p * n_t]))
+                )
+        a, c, b = mpmath.re(schur[0, 0]), mpmath.re(schur[1, 1]), abs(schur[0, 1])
+        root = mpmath.sqrt(((a - c) / 2) ** 2 + b**2)
+        want = [float((a + c) / 2 - root), float((a + c) / 2 + root)]
+    assert list(got) == pytest.approx(want, rel=1e-11)
+
+
+def test_sector_path_checks_the_rays(annulus_mesh):
+    # one interior vertex moved off its ring breaks the turn symmetry
+    v = annulus_mesh.vertices.copy()
+    v[3 * annulus_mesh.rays + 5] *= 1.01
+    moved = dataclasses.replace(annulus_mesh, vertices=v)
+    half = dataclasses.replace(annulus_mesh, rays=annulus_mesh.rays // 2)
+    for mesh in (moved, half):
+        with pytest.raises(NumericalError, match="rays"):
+            steklov_spectrum(mesh, 8)
+    # the general path solves the moved mesh
+    assert steklov_spectrum(dataclasses.replace(moved, rays=0), 8)[0] <= 1e-10
+
+
+def test_loaded_annulus_takes_lanczos(annulus_mesh, tmp_path, monkeypatch):
+    path = tmp_path / "annulus.msh"
+    annulus_mesh.save(str(path))
+    loaded = Mesh.load(str(path))
+    assert annulus_mesh.rays > 0 and loaded.rays == 0
+    factored = _count_factors(monkeypatch)
+    vals = steklov_spectrum(loaded, 8)
+    assert len(factored) == 1
+    ref = steklov_spectrum(annulus_mesh, 8)
+    assert len(factored) == 1
+    assert list(vals) == pytest.approx(list(ref), rel=1e-10, abs=1e-10)

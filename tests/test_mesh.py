@@ -206,8 +206,12 @@ def test_edge_table(torus_mesh):
 def test_mesh_is_immutable(torus_mesh):
     with pytest.raises(dataclasses.FrozenInstanceError):
         torus_mesh.vertices = torus_mesh.vertices + 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        torus_mesh.rays = 4
     K, M, dof, _ = assemble(torus_mesh)
+    # every field but the integer rays is an array
     arrays = [getattr(torus_mesh, f.name) for f in dataclasses.fields(torus_mesh)]
+    assert arrays.pop() == 0
     arrays += [dof, K.data, K.indices, K.indptr, M.data]
     for arr in arrays:
         with pytest.raises(ValueError):
