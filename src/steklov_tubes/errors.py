@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 1,
-numerical failures with 2.  Plain ValueError is used for out-of-domain
-arguments to low-level kernels.
+numerical failures with 2.  Plain ValueError is used for arguments
+outside a low-level kernel's domain, such as a negative Bessel order or
+a nonfinite argument; a kernel value out of double range is a
+NumericalError.
 """
 
 

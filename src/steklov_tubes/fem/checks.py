@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..bounds import quasi_ratio_bound
 from ..errors import ConfigurationError
 from .mesh import Mesh
 from .solve import assemble, boundary_mass, steklov_spectrum, neumann_spectrum
@@ -139,8 +140,7 @@ def metric_scaling_ratio_check(
     scaled = steklov_spectrum(replace(mesh, vertices=mesh.vertices * math.sqrt(c)), count)
     ratios = tuple(float(scaled[i] / base[i]) for i in range(1, count))
     expected = c ** -0.5
-    k_qi = max(c, 1.0 / c)
-    bound = k_qi ** 2.5
+    bound = quasi_ratio_bound(max(c, 1.0 / c), 2)
     holds = all(abs(r - expected) <= tol * expected for r in ratios) and all(
         1.0 / bound - 1e-12 <= r <= bound + 1e-12 for r in ratios
     )

@@ -65,16 +65,28 @@ class Point:
 class Circle:
     length: float
 
+    def __post_init__(self):
+        if not (self.length > 0):
+            raise ConfigurationError(f"circle length must be > 0, got {self.length}")
+
 
 @dataclass(frozen=True)
 class RoundSphere:
     dim: int
     radius: float
 
+    def __post_init__(self):
+        if self.dim < 1 or not (self.radius > 0):
+            raise ConfigurationError(f"bad round sphere {self!r}")
+
 
 @dataclass(frozen=True)
 class FlatTorus:
     sides: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.sides) < 1 or not all(s > 0 for s in self.sides):
+            raise ConfigurationError(f"bad flat torus {self!r}")
 
 
 SpectrumKind = Point | Circle | RoundSphere | FlatTorus
@@ -126,23 +138,17 @@ def transverse_spectrum(kind: SpectrumKind, count: int) -> list[tuple[float, int
     if isinstance(kind, Point):
         return [(0.0, 1)][:count]
     if isinstance(kind, Circle):
-        if kind.length <= 0:
-            raise ConfigurationError(f"circle length must be > 0, got {kind.length}")
         out = [(0.0, 1)]
         for k in range(1, count):
             out.append(((2.0 * math.pi * k / kind.length) ** 2, 2))
         return out[:count]
     if isinstance(kind, RoundSphere):
-        if kind.dim < 1 or kind.radius <= 0:
-            raise ConfigurationError(f"bad round sphere {kind!r}")
         r2 = kind.radius ** 2
         return [
             (sphere_eigenvalue(kind.dim, i) / r2, sphere_multiplicity(kind.dim, i))
             for i in range(count)
         ]
     if isinstance(kind, FlatTorus):
-        if len(kind.sides) < 1 or any(s <= 0 for s in kind.sides):
-            raise ConfigurationError(f"bad flat torus {kind!r}")
         return _torus_spectrum(kind.sides, count)
     raise TypeError(f"unknown spectrum kind {kind!r}")
 

@@ -15,7 +15,13 @@ For lam = 0 the solutions are powers { r^q, r^{-(q+d-1)} } (with
 { 1, log r } when q = 0 and d = 1), giving closed forms.  For lam > 0
 the substitution a(r) = r^{-s} w(sqrt(lam) r), s = (d-1)/2, turns the
 equation into the modified Bessel equation of order nu = q + s, and the
-exponentially scaled kernels keep every intermediate O(1).
+exponentially scaled kernels keep every intermediate O(1).  sigma =
+-sqrt(lam) (w' - (s/x) w)/w is formed from the folded recurrence
+Z' - (s/x) Z = +-Z_{nu+1} + (q/x) Z, so nothing cancels where sigma is
+small (SN modes near lam = 0, q = 0).  The one kernel failure left is
+K_nu overflowing double range for a large order at a small argument;
+the mode then takes the power law r^-beta where that is within 2e-12,
+and raises NumericalError elsewhere.
 
 mixed_spectrum lists the modes of one collar in ascending order by a
 best-first walk of the (k, q) lattice, evaluating only the modes it
@@ -89,43 +95,50 @@ def _sigma_power(mode: RadialMode, eps: float, delta: float, outer: str) -> floa
     return (beta + q * tau) / (eps * (1.0 - tau))
 
 
+def _kernels(nu: float, q: int, x: float):
+    """Scaled I_nu(x), K_nu(x) and their folded derivatives.
+
+    Z' - (s/x) Z = +-Z_{nu+1} + (q/x) Z with q = nu - s (DLMF 10.29),
+    + for I and - for K, scaled like Z.  I's two terms are positive, and
+    K's difference keeps at least half of K_{nu+1}, as
+    K_{nu+1} >= (2 nu / x) K_nu >= (2 q / x) K_nu.
+    """
+    i, k = bessel.iv_scaled(nu, x), bessel.kv_scaled(nu, x)
+    fi = bessel.iv_scaled(nu + 1, x) + (q / x) * i
+    fk = (q / x) * k - bessel.kv_scaled(nu + 1, x)
+    return i, k, fi, fk
+
+
 def _sigma_bessel(mode: RadialMode, eps: float, delta: float, outer: str) -> float:
-    s = (mode.d - 1) / 2.0
-    nu = mode.nu
+    q, nu = mode.q, mode.nu
     rt = math.sqrt(mode.lam)
     x1, x2 = rt * eps, rt * delta
-    if nu > bessel.NU_MAX or x2 > bessel.X_MAX:
-        raise NumericalError(
-            f"mode {mode} is outside the Bessel kernel range (order <= "
-            f"{bessel.NU_MAX}, sqrt(lam) * delta <= {bessel.X_MAX}) at "
-            f"eps={eps}, delta={delta}"
-        )
-
-    ie1, ke1 = bessel.iv_scaled(nu, x1), bessel.kv_scaled(nu, x1)
-    ip1, kp1 = bessel.iv_prime_scaled(nu, x1), bessel.kv_prime_scaled(nu, x1)
-    ie2, ke2 = bessel.iv_scaled(nu, x2), bessel.kv_scaled(nu, x2)
-
-    if outer == "Dirichlet":
-        wi, wk = ie2, ke2
-    else:
-        ip2, kp2 = bessel.iv_prime_scaled(nu, x2), bessel.kv_prime_scaled(nu, x2)
-        wi = -(s / delta) * ie2 + rt * ip2
-        wk = -(s / delta) * ke2 + rt * kp2
-
-    # w(x) = K_nu(x) W_I - I_nu(x) W_K; the shared factor exp(x2 - x1)
-    # cancels in w'(x1)/w(x1), leaving E = exp(2(x1 - x2)) <= 1.
-    e = math.exp(2.0 * (x1 - x2))
-    num = kp1 * wi - ip1 * wk * e
-    den = ke1 * wi - ie1 * wk * e
-    if not (np.isfinite(num) and np.isfinite(den)) or den == 0.0:
-        # kv overflows for large nu at tiny x1; there the mode is power-law
-        # at the inner radius to below double precision.
-        if x1 < 1e-4 and nu > 1:
+    with np.errstate(all="ignore"):
+        ie1, ke1, fi1, fk1 = _kernels(nu, q, x1)
+        if outer == "Dirichlet":
+            wi, wk = bessel.iv_scaled(nu, x2), bessel.kv_scaled(nu, x2)
+        else:
+            # sqrt(lam) cancels in num/den; without it, listed d = 1 values
+            # move by an ulp, as often away from the exact value as toward it
+            _, _, fi2, fk2 = _kernels(nu, q, x2)
+            wi, wk = rt * fi2, rt * fk2
+        # w(x) = K_nu(x) W_I - I_nu(x) W_K; the shared factor exp(x2 - x1)
+        # cancels in the ratio, leaving E = exp(2(x1 - x2)) <= 1.
+        e = math.exp(2.0 * (x1 - x2))
+        num = fk1 * wi - fi1 * wk * e
+        den = ke1 * wi - ie1 * wk * e
+        sigma = -rt * num / den
+    if not math.isfinite(sigma):
+        # K_nu overflows for large nu at tiny x1.  There the mode is the
+        # power law r^-beta at the inner radius, to a relative error of
+        # x1^2 / (2 (nu - 1) (nu + s)); take it where that is below 2e-12.
+        s = nu - q
+        if nu > 1 and x1 * x1 <= 4e-12 * (nu - 1) * (nu + s):
             return _sigma_power(mode, eps, delta, outer)
         raise NumericalError(
             f"radial kernel overflow for mode {mode} at eps={eps}, delta={delta}"
         )
-    return s / eps - rt * num / den
+    return sigma
 
 
 def sigma_mixed(mode: RadialMode, eps: float, delta: float, outer: str) -> float:
@@ -157,7 +170,8 @@ def sn_log_normalizer(lam: float, eps: float, delta: float) -> float:
     _check_radii(eps, delta)
     rt = math.sqrt(lam)
     x2 = rt * delta
-    correction = bessel.bessel_kv_prime(0.0, x2) / bessel.bessel_iv_prime(0.0, x2)
+    # K_0' / I_0' = -K_1 / I_1
+    correction = -bessel.kv_scaled(1.0, x2) / bessel.iv_scaled(1.0, x2) * math.exp(-2.0 * x2)
     return eps * (abs(math.log(rt * eps)) - correction)
 
 

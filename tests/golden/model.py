@@ -139,6 +139,8 @@ OTHER = [
     ["sphere-caps", "--eps", "1.55", "--count", "100"],
     ["sphere-caps", "--eps", "0.1", "--count", "199"],
     ["sphere-caps", "--eps", "0.1", "--count", "201"],
+    # lists modes past order 50 and sqrt(lam) delta 700
+    ["model-spectrum", "--scenario", _scn("torus3-circle"), "--eps", "0.001", "--count", "3000"],
 ]
 
 ARGV = README + MODEL_SWEEP_SEED0 + MODEL_GRID + CAPS + OTHER

@@ -81,14 +81,16 @@ def test_exit_codes(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err.splitlines()[-1])["error"] == "configuration"
-    # a listed mode past the Bessel kernel's range is a numerical failure
+    # modes past order 50 and sqrt(lam) delta 700 are listed like any other
     circle = str(SCENARIOS / "torus3-circle.json")
     assert (
         main(["model-spectrum", "--scenario", circle, "--eps", "0.001", "--count", "3000"])
-        == 2
+        == 0
     )
-    _, err = capsys.readouterr()
-    assert json.loads(err.splitlines()[-1])["error"] == "numerical"
+    out, _ = capsys.readouterr()
+    sigmas = [float(line.split(",")[6]) for line in out.splitlines()[1:]]
+    assert len(sigmas) > 900 and sigmas == sorted(sigmas)
+    assert all(math.isfinite(sig) for sig in sigmas)
     # holes with centers below the square's offset mesh and solve
     assert (
         main(["fem", "--domain", "torus", "--h", "0.01", "--eps", "0.05",
@@ -133,6 +135,26 @@ def test_exit_codes(capsys, tmp_path):
         capsys.readouterr()
     assert not fresh.exists()
     assert old.read_text() == "old\n"
+
+
+def test_bad_kind_is_refused_by_every_command(capsys, tmp_path):
+    # bounds never asks for a transverse spectrum, so the kind itself must
+    # refuse a circle of length -1 (or nan), as it does for model-spectrum
+    for length in ("-1", "NaN"):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"m": 3, "lambda1_M": 1.0, "submanifolds": ['
+            f'{{"dim": 1, "volume": 1.0, "kind": {{"type": "circle", "length": {length}}}}}, '
+            '{"dim": 0, "volume": 1.0, "kind": {"type": "point"}}]}'
+        )
+        for argv in (["bounds"], ["model-spectrum", "--eps", "0.01"],
+                     ["bracket", "--eps", "0.01"]):
+            assert main([*argv, "--scenario", str(path)]) == 1, (length, argv)
+            out, err = capsys.readouterr()
+            assert out == ""
+            error = json.loads(err.splitlines()[-1])
+            assert error["error"] == "configuration"
+            assert error["message"].startswith("circle length must be > 0"), error
 
 
 def test_parser_built_once(capsys, monkeypatch):

@@ -92,6 +92,13 @@ def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         # declared dim disagrees with the kind
         SubmanifoldSpec(2, 1.0, Circle(2 * PI))
+    # each kind refuses a size that is not > 0, nan included
+    for bad in (lambda: Circle(-1.0), lambda: Circle(math.nan), lambda: RoundSphere(0, 1.0),
+                lambda: RoundSphere(2, 0.0), lambda: RoundSphere(2, math.nan),
+                lambda: FlatTorus(()), lambda: FlatTorus((1.0, -1.0)),
+                lambda: FlatTorus((math.nan, 1.0))):
+        with pytest.raises(ConfigurationError):
+            bad()
 
 
 def test_scenario_sphere_dim():

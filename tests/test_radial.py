@@ -2,12 +2,15 @@
 
 The lam > 0 references were produced by an independent mpmath (dps=40)
 evaluation of sigma = -R'(eps)/R(eps) with R = r^{-s}(I_nu + c K_nu)
-and c fixed by the outer condition; the lam = 0 references are Euler
-closed forms evaluated by hand.
+and c fixed by the outer condition, frozen in BESSEL_ORACLE and run
+live by _mp_sigma; the lam = 0 references are Euler closed forms
+evaluated by hand.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,6 +44,70 @@ def test_bessel_cases_match_oracle():
     for (d, q, lam, eps, delta, outer), want in BESSEL_ORACLE.items():
         got = sigma_mixed(RadialMode(d, q, lam), eps, delta, outer)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _mp_sigma(d, q, lam, eps, delta, outer):
+    """sigma = s/eps - sqrt(lam) w'(x1)/w(x1) at 40 digits, w = K W_I - I W_K.
+
+    Derivatives by the symmetric recurrences, so nothing is shared with
+    the solver's folded one-sided forms.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        s = mp.mpf(d - 1) / 2
+        nu, rt = q + s, mp.sqrt(mp.mpf(lam))
+        eps, delta = mp.mpf(eps), mp.mpf(delta)
+
+        def kernels(x):
+            i, k = mp.besseli(nu, x), mp.besselk(nu, x)
+            di = (mp.besseli(nu - 1, x) + mp.besseli(nu + 1, x)) / 2
+            dk = -(mp.besselk(nu - 1, x) + mp.besselk(nu + 1, x)) / 2
+            return i, k, di, dk
+
+        i2, k2, di2, dk2 = kernels(rt * delta)
+        if outer == "Dirichlet":
+            wi, wk = i2, k2
+        else:
+            wi, wk = rt * di2 - s / delta * i2, rt * dk2 - s / delta * k2
+        i1, k1, di1, dk1 = kernels(rt * eps)
+        return s / eps - rt * (dk1 * wi - di1 * wk) / (k1 * wi - i1 * wk)
+
+
+# (d, q, lam, eps, delta): every d in 1..3 on four collars, then small SN
+# values (criterion 10's worst modes), then modes past the order 50 and
+# sqrt(lam) delta 700 that once bounded the kernels, the last one on the
+# power-law fallback
+ACCURACY_MODES = [
+    *((d, q, lam, eps, eps * ratio) for d in (1, 2, 3)
+      for q, lam, eps, ratio in ((0, 0.01, 1e-4, 30.0), (0, 13.2, 1.06e-4, 4.34),
+                                 (2, 4.0, 1e-3, 500.0), (5, 400.0, 0.02, 5.0))),
+    (3, 0, 13.2, 1.06e-4, 4.6e-4),
+    (3, 0, 0.02477884577433341, 0.00015501140307796083, 0.006417103835753461),
+    (3, 0, 0.03525970596911599, 0.00010447620646798731, 0.00328905435333835),
+    (2, 0, 4.592707619709925, 0.00014301757774990925, 0.0004662031576064817),
+    (1, 0, 2.0, 1e-6, 0.5),
+    (2, 1, 0.5, 1e-5, 1e-3),
+    (1, 60, 100.0, 0.5, 2.0),
+    (2, 80, 1e4, 0.5, 1.0),
+    (1, 0, 1e8, 1e-3, 1.0),
+    (3, 120, 2.5e7, 0.02, 2.0),
+    (1, 51, 1.0, 0.01, 0.5),
+    (2, 3, 1e6, 0.01, 10.0),
+    (1, 50, 1.0, 2e-6, 0.5),
+]
+
+
+def test_sigma_mixed_matches_mpmath():
+    # inside the old range the error is cancellation-free rounding (3e-15
+    # measured); past it, scipy's own kernels are off by up to about 1e-13
+    # at orders above 100 (4.3e-14 measured here)
+    for d, q, lam, eps, delta in ACCURACY_MODES:
+        inside = q + (d - 1) / 2 <= 50 and math.sqrt(lam) * delta <= 700
+        for outer in OUTER_CONDITIONS:
+            got = sigma_mixed(RadialMode(d, q, lam), eps, delta, outer)
+            want = _mp_sigma(d, q, lam, eps, delta, outer)
+            rel = float(abs(got - want) / want)
+            assert rel <= (1e-14 if inside else 1e-13), (d, q, lam, eps, delta, outer, rel)
 
 
 def test_euler_closed_forms():
@@ -228,7 +295,7 @@ def test_mixed_spectrum_stream():
 
 
 def _draws(rng, n):
-    """Random modes (d, q, lam) and collars (eps, delta) inside the kernel range."""
+    """Random modes (d, q, lam) and collars (eps, delta) of moderate size."""
     for _ in range(n):
         d = int(rng.integers(1, 5))
         q = int(rng.integers(0, 40))
@@ -239,28 +306,51 @@ def _draws(rng, n):
             yield d, q, lam, eps, delta
 
 
+def _wide_draws(rng, n):
+    """Orders up to 200 and sqrt(lam) delta up to 1e4, past the order 50
+    and argument 700 that once bounded the kernels.  sqrt(lam) eps >=
+    nu / 20 keeps K_nu at the inner radius inside double range."""
+    for _ in range(n):
+        d = int(rng.integers(1, 4))
+        q = int(rng.integers(0, 200))
+        x1 = 10.0 ** rng.uniform(math.log10(max(q + (d - 1) / 2.0, 0.02) / 20.0), 3.0)
+        eps = 10.0 ** rng.uniform(-4.0, -0.5)
+        yield d, q, (x1 / eps) ** 2, eps, eps * 10.0 ** rng.uniform(0.05, 1.0)
+
+
 def test_walk_assumptions():
     # the ordered walk lists modes in order only because sigma is
-    # nondecreasing in q and in lam; SN <= SD makes the bracket a bracket
+    # nondecreasing in q and in lam; SN <= SD makes the bracket a bracket.
+    # At orders above 100 scipy's kernels are good to about 1e-13 (against
+    # mpmath), and a lam step below rounding compares two equal values
     rng = np.random.default_rng(20)
-    for d, q, lam, eps, delta in _draws(rng, 600):
-        outer = OUTER_CONDITIONS[int(rng.integers(0, 2))]
-        base = sigma_mixed(RadialMode(d, q, lam), eps, delta, outer)
-        assert base <= sigma_mixed(RadialMode(d, q + 1, lam), eps, delta, outer)
-        bigger = lam + float(10.0 ** rng.uniform(-3.0, 3.0))
-        above = sigma_mixed(RadialMode(d, q, bigger), eps, delta, outer)
-        assert base <= above * (1.0 + 1e-13)
-        sn = sigma_mixed(RadialMode(d, q, lam), eps, delta, "Neumann")
-        sd = sigma_mixed(RadialMode(d, q, lam), eps, delta, "Dirichlet")
-        assert sn <= sd * (1.0 + 1e-14)
+    for draws, rtol in ((_draws(rng, 600), 1e-13), (_wide_draws(rng, 300), 1e-12)):
+        for d, q, lam, eps, delta in draws:
+            outer = OUTER_CONDITIONS[int(rng.integers(0, 2))]
+            base = sigma_mixed(RadialMode(d, q, lam), eps, delta, outer)
+            assert base <= sigma_mixed(RadialMode(d, q + 1, lam), eps, delta, outer)
+            bigger = lam + float(10.0 ** rng.uniform(-3.0, 3.0))
+            above = sigma_mixed(RadialMode(d, q, bigger), eps, delta, outer)
+            assert base <= above * (1.0 + rtol)
+            sn = sigma_mixed(RadialMode(d, q, lam), eps, delta, "Neumann")
+            sd = sigma_mixed(RadialMode(d, q, lam), eps, delta, "Dirichlet")
+            assert sn <= sd * (1.0 + rtol / 10.0)
 
 
 def test_kernel_range_is_numerical():
-    # an order past the Bessel ceiling is a kernel limit, not bad input
-    with pytest.raises(NumericalError, match="RadialMode"):
-        sigma_mixed(RadialMode(1, 51, 1.0), 0.01, 0.5, "Neumann")
-    with pytest.raises(NumericalError):
-        sigma_mixed(RadialMode(1, 0, 4e6), 0.01, 0.5, "Dirichlet")
+    # the only kernel limit left is double range: K_nu overflows for a
+    # large order at a small argument.  That is a NumericalError, with no
+    # RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for outer in OUTER_CONDITIONS:
+            with pytest.raises(NumericalError, match="RadialMode"):
+                sigma_mixed(RadialMode(1, 80, 13.2), 1e-3, 0.5, outer)
+        # where the power law r^-beta is within 2e-12 of the mode, the
+        # overflow falls back on it
+        assert sigma_mixed(RadialMode(1, 50, 1.0), 2e-6, 0.5, "Neumann") == pytest.approx(
+            sigma_mixed(RadialMode(1, 50, 0.0), 2e-6, 0.5, "Neumann"), rel=2e-12
+        )
 
 
 def test_argument_validation():
