@@ -21,6 +21,15 @@ goes to stderr.
 
 main(argv) may be called repeatedly in one process: it builds the
 argument parser on its first call and reuses it on every later one.
+
+Importing this module loads only the standard library and the light
+modules (errors, harmonics, tables, bounds); each subcommand imports the
+layers it runs.  bounds, sphere-caps without --oracle-grid, and the
+model commands on scenarios whose modes all have lambda = 0 (points)
+load neither numpy nor scipy.  A lambda > 0 mode loads numpy and
+scipy.special (the Bessel kernels), --oracle-grid loads numpy and
+scipy.linalg, and fem and verify-all load the FEM layer (numpy,
+scipy.sparse, scipy.spatial).
 """
 
 from __future__ import annotations
@@ -33,17 +42,8 @@ import os
 import sys
 
 from . import bounds as bounds_mod
-from . import families, spherecaps, tables
+from . import tables
 from .errors import ConfigurationError, NumericalError
-from .fem import (
-    Annulus,
-    Disk,
-    mesh_planar,
-    mesh_torus_minus_disks,
-    neumann_spectrum,
-    steklov_spectrum,
-)
-from .fem.solve import split_markers
 from .harmonics import load_scenario
 
 RATE_COLUMNS = (
@@ -90,9 +90,9 @@ def _eps_grid(values: list[float], delta: float | None = None) -> list[float]:
     return list(values)
 
 
-def _resolve_delta(arg_delta: float | None) -> float:
+def _resolve_delta(arg_delta: float | None, default: float) -> float:
     if arg_delta is None:
-        delta = families.DELTA_DEFAULT
+        delta = default
         print(f"# delta = {delta!r} (default)", file=sys.stderr)
     else:
         delta = arg_delta
@@ -131,8 +131,10 @@ def _emit(obj, args, columns: tuple[str, ...] | None = None) -> None:
 
 
 def _cmd_model_spectrum(args) -> int:
+    from . import families
+
     scenario = load_scenario(args.scenario)
-    delta = _resolve_delta(args.delta)
+    delta = _resolve_delta(args.delta, families.DELTA_DEFAULT)
     grid = _eps_grid(args.eps, delta)
     rows = []
     for eps in grid:
@@ -152,8 +154,10 @@ def _cmd_model_spectrum(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
+    from . import families
+
     scenario = load_scenario(args.scenario)
-    delta = _resolve_delta(args.delta)
+    delta = _resolve_delta(args.delta, families.DELTA_DEFAULT)
     grid = _eps_grid(args.eps, delta)
     rows = []
     for eps in grid:
@@ -165,8 +169,10 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    from . import families
+
     scenario = load_scenario(args.scenario)
-    delta = _resolve_delta(args.delta)
+    delta = _resolve_delta(args.delta, families.DELTA_DEFAULT)
     grid = _eps_grid(args.eps, delta)
     if len(grid) < 3:
         raise ConfigurationError(f"rates needs at least 3 eps values, got {len(grid)}")
@@ -176,7 +182,13 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_sphere_caps(args) -> int:
+    from . import spherecaps
+
     grid = _eps_grid(args.eps)
+    if args.oracle_grid is not None and args.n is None:
+        raise ConfigurationError(
+            "--oracle-grid solves one angular index; add --n or drop --oracle-grid"
+        )
     rows = []
     for eps in grid:
         if args.n is None:
@@ -190,7 +202,7 @@ def _cmd_sphere_caps(args) -> int:
             else:
                 (lo, hi), mult = spherecaps.sigma_pm(args.n, eps), 2
             cells = [(args.n, "even", mult, lo), (args.n, "odd", mult, hi)]
-            if args.oracle_grid:
+            if args.oracle_grid is not None:
                 oracle = spherecaps.ode_oracle(args.n, eps, args.oracle_grid)
                 cells += [(args.n, "oracle", 0, sig) for sig in oracle]
         rows += [tables.mode_row(eps, "", "", *cell) for cell in cells]
@@ -212,41 +224,47 @@ def _parse_centers(specs: list[str]) -> list[tuple[float, float]]:
 
 
 def _cmd_fem(args) -> int:
+    from . import fem
+
     if args.domain == "torus":
         if args.eps is None:
             raise ConfigurationError("--eps is required for the torus domain")
         centers = _parse_centers(args.centers)
         markers = set(range(len(centers)))
     else:
+        if args.eps is not None:
+            raise ConfigurationError(
+                f"--eps is the torus hole radius; drop it for the {args.domain} domain"
+            )
         markers = {1} if args.domain == "disk" else {0, 1}
     # refuse what the solvers would refuse or ignore before the mesh is built
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
     if not args.neumann:
-        split_markers(markers, args.dirichlet_markers, args.neumann_markers)
+        fem.solve.split_markers(markers, args.dirichlet_markers, args.neumann_markers)
     elif args.dirichlet_markers or args.neumann_markers:
         raise ConfigurationError(
             "--neumann solves without boundary conditions; "
             "drop --dirichlet-markers and --neumann-markers"
         )
     if args.domain == "disk":
-        mesh = mesh_planar(Disk(args.radius), args.h)
+        mesh = fem.mesh_planar(fem.Disk(args.radius), args.h)
         eps_col: float | str = ""
     elif args.domain == "annulus":
-        mesh = mesh_planar(Annulus(args.r_in, args.r_out), args.h)
+        mesh = fem.mesh_planar(fem.Annulus(args.r_in, args.r_out), args.h)
         eps_col = ""
     else:
-        mesh = mesh_torus_minus_disks(args.side, centers, args.eps, args.h)
+        mesh = fem.mesh_torus_minus_disks(args.side, centers, args.eps, args.h)
         eps_col = args.eps
     print(
         f"# mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles",
         file=sys.stderr,
     )
     if args.neumann:
-        values = neumann_spectrum(mesh, args.count)
+        values = fem.neumann_spectrum(mesh, args.count)
         family = "Neumann"
     else:
-        values = steklov_spectrum(
+        values = fem.steklov_spectrum(
             mesh,
             args.count,
             dirichlet_markers=tuple(args.dirichlet_markers),
@@ -382,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-grid",
         type=int,
         default=None,
-        help="with --n, add finite-difference oracle rows at this grid size",
+        help="with --n, add finite-difference oracle rows at this grid size (>= 100)",
     )
     _add_output_flags(sub)
     sub.set_defaults(func=_cmd_sphere_caps)

@@ -65,6 +65,28 @@ def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.column_stack([keys // n, keys % n]), inverse, counts
 
 
+# A generator refuses a mesh estimated above MAX_VERTICES before it
+# allocates any of it; an h far too small for the domain would otherwise
+# fail inside numpy with a memory error, or take the machine's memory.
+# The cap is ten times today's largest mesh (the h 0.005 annulus of
+# acceptance criterion 9, 95k vertices) and about four times the planned
+# 260k-vertex log-polar model collars.
+MAX_VERTICES = 1_000_000
+
+
+def _check_size(estimate, *args) -> None:
+    """Refuse a mesh that estimate(*args) puts above MAX_VERTICES."""
+    try:
+        vertices = float(estimate(*args))
+    except OverflowError:  # a size ratio such as radius/h beyond float range
+        vertices = math.inf
+    if not vertices <= MAX_VERTICES:
+        raise ConfigurationError(
+            f"the mesh would have about {vertices:.3g} vertices, over the cap "
+            f"of {MAX_VERTICES}; use a larger h"
+        )
+
+
 # Collar grading around each hole: ring spacing stays at h on a band of
 # width _COLLAR_BAND*eps, then grows proportionally to the radius
 # (s = h*r/band) until it reaches the background size.  Proportional
@@ -279,10 +301,29 @@ def _ring(center: np.ndarray, radius: float, ang: np.ndarray) -> np.ndarray:
 # planar domains
 
 
+def _disk_rings(radius: float, h: float) -> int:
+    return max(2, round(radius / h))
+
+
+def _annulus_grid(r_in: float, r_out: float, h: float) -> tuple[int, int]:
+    """Ring gaps n_r and vertices per ring n_t of the structured annulus."""
+    return max(2, round((r_out - r_in) / h)), max(8, round(math.pi * (r_in + r_out) / h))
+
+
+def estimate_vertices(shape: Disk | Annulus, h: float) -> int:
+    """Vertex count of mesh_planar(shape, h), exact, without building it."""
+    if isinstance(shape, Disk):
+        n_r = _disk_rings(shape.radius, h)
+        return 1 + 3 * n_r * (n_r + 1)
+    n_r, n_t = _annulus_grid(shape.r_in, shape.r_out, h)
+    return (n_r + 1) * n_t
+
+
 def _mesh_disk(radius: float, h: float) -> Mesh:
     if radius <= 0 or not (0 < h < radius):
         raise ConfigurationError(f"need 0 < h < radius, got h={h}, radius={radius}")
-    n_r = max(2, round(radius / h))
+    _check_size(estimate_vertices, Disk(radius), h)
+    n_r = _disk_rings(radius, h)
     dr = radius / n_r
     verts = [np.zeros((1, 2))]
     rings: list[np.ndarray] = []
@@ -315,8 +356,8 @@ def _mesh_annulus(r_in: float, r_out: float, h: float) -> Mesh:
         raise ConfigurationError(
             f"need 0 < r_in < r_out and h > 0, got {r_in}, {r_out}, {h}"
         )
-    n_r = max(2, round((r_out - r_in) / h))
-    n_t = max(8, round(math.pi * (r_in + r_out) / h))
+    _check_size(estimate_vertices, Annulus(r_in, r_out), h)
+    n_r, n_t = _annulus_grid(r_in, r_out, h)
     ang = 2.0 * math.pi * np.arange(n_t) / n_t
     cs = np.column_stack([np.cos(ang), np.sin(ang)])
     vertices = np.concatenate(
@@ -367,6 +408,35 @@ def _best_offset(centers: np.ndarray, side: float) -> tuple[np.ndarray, float]:
     return np.array([grid[ix], grid[iy]]), float(margin[ix, iy])
 
 
+def _torus_grid(side: float, holes: int, eps: float, h: float):
+    """(h_max, n_e, nx, ny, n_b): background edge length, points per square
+    edge, hex lattice columns and rows, and vertices per hole polygon."""
+    h_max = min(max(h, side / 32.0), side / 8.0)
+    n_e = max(8, round(side / h_max))
+    ny = max(2, round(side / (h_max * math.sqrt(3.0) / 2.0)))
+    nx = max(2, round(side / h_max))
+    n_b = max(12, round(2.0 * math.pi * eps / h)) if holes else 0
+    return h_max, n_e, nx, ny, n_b
+
+
+def estimate_torus_vertices(side: float, holes: int, eps: float, h: float) -> float:
+    """An upper bound on the vertex count of mesh_torus_minus_disks.
+
+    Counts the square's points, the whole hex lattice and, per hole, the
+    polygon plus 2*n_b vertices on each collar ring.  The ring count
+    bounds the grading loop: two wall-layer rings, spacing h out to
+    (1 + _COLLAR_BAND)*eps, then growth by the factor 1 + h/band up to
+    the smaller of band*h_max/h and side/2, which no collar passes.
+    """
+    h_max, n_e, nx, ny, n_b = _torus_grid(side, holes, eps, h)
+    if not holes:
+        return 4 * n_e + nx * ny
+    band = (1.0 + _COLLAR_BAND) * eps
+    reach = min(band * h_max / h, side / 2.0)
+    rings = 4.0 + _COLLAR_BAND * eps / h + max(0.0, math.log(reach / band)) / math.log1p(h / band)
+    return 4 * n_e + nx * ny + holes * n_b * (1.0 + 2.0 * rings)
+
+
 def mesh_torus_minus_disks(
     side: float,
     centers: list[tuple[float, float]] | np.ndarray,
@@ -390,7 +460,8 @@ def mesh_torus_minus_disks(
     b = len(centers)
     if b and not (0 < h < eps / 4):
         raise ConfigurationError(f"need 0 < h < eps/4, got h={h}, eps={eps}")
-    h_max = min(max(h, side / 32.0), side / 8.0)
+    _check_size(estimate_torus_vertices, side, b, eps, h)
+    h_max, n_e, nx, ny, n_b = _torus_grid(side, b, eps, h)
     off, margin = _best_offset(centers, side)
     frame = (centers - off) % side
 
@@ -422,7 +493,6 @@ def mesh_torus_minus_disks(
         return np.arange(start, start + len(pts))
 
     # square corners and matched edge points
-    n_e = max(8, round(side / h_max))
     step = side / n_e
     ticks = step * np.arange(1, n_e)
     corner_idx = add(np.array([[0.0, 0.0], [side, 0.0], [0.0, side], [side, side]]))
@@ -437,7 +507,6 @@ def mesh_torus_minus_disks(
     # hole polygons and graded collar rings: ring 0 is the polygon, every
     # later ring carries n_c = 2*n_b vertices, turned by half a step on
     # alternate rings, and consecutive rings are stitched into strips
-    n_b = max(12, round(2.0 * math.pi * eps / h)) if b else 0
     n_c = 2 * n_b
     ring_tops = []
     holes, outer, strips = [], [], []
@@ -473,8 +542,6 @@ def mesh_torus_minus_disks(
         ring_tops.append(r)
 
     # hex background lattice, kept clear of seams and collars
-    ny = max(2, round(side / (h_max * math.sqrt(3.0) / 2.0)))
-    nx = max(2, round(side / h_max))
     hy, hx = side / ny, side / nx
     rows = []
     for r in range(ny):

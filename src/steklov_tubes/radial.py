@@ -21,7 +21,9 @@ Z' - (s/x) Z = +-Z_{nu+1} + (q/x) Z, so nothing cancels where sigma is
 small (SN modes near lam = 0, q = 0).  The one kernel failure left is
 K_nu overflowing double range for a large order at a small argument;
 the mode then takes the power law r^-beta where that is within 2e-12,
-and raises NumericalError elsewhere.
+and raises NumericalError elsewhere.  Only these lam > 0 paths import
+numpy and bessel (and with it scipy.special), so lam = 0 listings run on
+the standard library alone.
 
 mixed_spectrum lists the modes of one collar in ascending order by a
 best-first walk of the (k, q) lattice, evaluating only the modes it
@@ -40,9 +42,6 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import bessel
 from .errors import NumericalError
 from .harmonics import ModeEigenvalue, sphere_multiplicity
 
@@ -103,6 +102,8 @@ def _kernels(nu: float, q: int, x: float):
     K's difference keeps at least half of K_{nu+1}, as
     K_{nu+1} >= (2 nu / x) K_nu >= (2 q / x) K_nu.
     """
+    from . import bessel
+
     i, k = bessel.iv_scaled(nu, x), bessel.kv_scaled(nu, x)
     fi = bessel.iv_scaled(nu + 1, x) + (q / x) * i
     fk = (q / x) * k - bessel.kv_scaled(nu + 1, x)
@@ -110,6 +111,10 @@ def _kernels(nu: float, q: int, x: float):
 
 
 def _sigma_bessel(mode: RadialMode, eps: float, delta: float, outer: str) -> float:
+    import numpy as np
+
+    from . import bessel
+
     q, nu = mode.q, mode.nu
     rt = math.sqrt(mode.lam)
     x1, x2 = rt * eps, rt * delta
@@ -168,6 +173,8 @@ def sn_log_normalizer(lam: float, eps: float, delta: float) -> float:
     if lam <= 0:
         raise ValueError(f"need lam > 0, got {lam}")
     _check_radii(eps, delta)
+    from . import bessel
+
     rt = math.sqrt(lam)
     x2 = rt * delta
     # K_0' / I_0' = -K_1 / I_1

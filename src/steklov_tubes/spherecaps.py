@@ -24,7 +24,8 @@ sigma_1^- = cot(eps) exactly.
 
 ode_oracle discretizes the same band ODE directly (P1 elements on the
 divergence form, Steklov terms as a rank-2 boundary mass) without using
-any of the algebra above, so it cross-checks the closed forms.  Its grid
+any of the algebra above, so it cross-checks the closed forms; it is the
+only part of the module that imports numpy and scipy.  Its grid
 is graded by s = log tan(psi/2), the variable in which the exact
 solutions are e^{+-ns}; uniform-in-psi grids waste resolution away from
 the boundary layer and miss the target accuracy by orders of magnitude.
@@ -35,9 +36,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import CompletenessError
 
@@ -166,6 +164,9 @@ def ode_oracle(n: int, eps: float, grid: int = 1000) -> tuple[float, float]:
     For n = 0 the pair is (0, ~sigma_zero); for n >= 1 it is
     (~sigma_n^-, ~sigma_n^+).
     """
+    import numpy as np
+    from scipy.linalg import solveh_banded
+
     _check_eps(eps)
     _check_n(n)
     if grid < 100:

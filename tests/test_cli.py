@@ -116,6 +116,14 @@ def test_exit_codes(capsys, tmp_path):
         ["fem", "--domain", "disk", "--h", "0.5", "--neumann", "--dirichlet-markers", "3",
          "--count", "2"],
         ["fem", "--domain", "annulus", "--h", "0.1", "--neumann", "--neumann-markers", "0"],
+        # --eps is the torus hole radius; the planar domains refuse it
+        ["fem", "--domain", "disk", "--h", "0.5", "--eps", "0.1"],
+        ["fem", "--domain", "annulus", "--h", "0.1", "--eps", "0.1"],
+        # a mesh over the size cap is refused before it is allocated
+        ["fem", "--domain", "annulus", "--h", "1e-9", "--count", "1"],
+        # the oracle solves one angular index, on a grid of at least 100
+        ["sphere-caps", "--eps", "0.5", "--oracle-grid", "100", "--count", "2"],
+        ["sphere-caps", "--eps", "0.5", "--n", "1", "--oracle-grid", "0"],
     ):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()

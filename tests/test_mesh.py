@@ -322,6 +322,40 @@ def test_preconditions(tmp_path):
         mesh_planar(Annulus(1.0, 0.5), 0.1)
 
 
+def test_size_guard(disk_mesh, annulus_mesh, torus_mesh):
+    # the planar estimate is the exact count
+    for shape, h, mesh in (
+        (Disk(1.0), 0.05, disk_mesh),
+        (Annulus(0.5, 1.0), 0.05, annulus_mesh),
+        (Disk(2.0), 0.3, mesh_planar(Disk(2.0), 0.3)),
+        (Annulus(0.1, 0.4), 0.07, mesh_planar(Annulus(0.1, 0.4), 0.07)),
+    ):
+        assert mesh_mod.estimate_vertices(shape, h) == mesh.num_vertices
+    # the torus estimate bounds the count from above, and not loosely
+    side, centers = THREE_HOLES
+    for mesh, side, b, eps, h in (
+        (torus_mesh, 1.0, 2, 0.05, 0.01),
+        (mesh_torus_minus_disks(side, centers, 0.05, 0.01), side, 3, 0.05, 0.01),
+        (mesh_torus_minus_disks(1.0, [(0.5, 0.5)], 0.01, 0.001), 1.0, 1, 0.01, 0.001),
+        (mesh_torus_minus_disks(1.0, [], 0.05, 0.01), 1.0, 0, 0.05, 0.01),
+    ):
+        estimate = mesh_mod.estimate_torus_vertices(side, b, eps, h)
+        assert mesh.num_vertices <= estimate <= 2.0 * mesh.num_vertices
+    # today's largest mesh (criterion 9's annulus) is far below the cap
+    assert 10 * mesh_mod.estimate_vertices(Annulus(0.5, 1.0), 0.005) < mesh_mod.MAX_VERTICES
+    # a mesh far over the cap is refused before anything is allocated,
+    # also where radius / h leaves float range
+    for build in (
+        lambda: mesh_planar(Disk(1.0), 1e-9),
+        lambda: mesh_planar(Annulus(0.5, 1.0), 1e-9),
+        lambda: mesh_planar(Disk(math.inf), 0.1),
+        lambda: mesh_planar(Annulus(0.5, 1.0), 1e-320),
+        lambda: mesh_torus_minus_disks(1.0, CENTERS, 0.05, 1e-9),
+    ):
+        with pytest.raises(ConfigurationError, match="over the cap"):
+            build()
+
+
 def test_save_load_roundtrip(tmp_path, torus_mesh):
     path = tmp_path / "mesh.txt"
     torus_mesh.save(str(path))
