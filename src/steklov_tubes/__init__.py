@@ -5,9 +5,9 @@ two-sided bracketing of the true spectrum, closed forms for a sphere
 with two caps removed, flat 2D finite element benchmarks, and the
 explicit lower/upper bound constants.
 
-Importing the package loads no submodule.  Each name below is imported
-from its submodule on first use (PEP 562), so a caller that needs only
-the closed forms never loads numpy, scipy or the FEM layer.
+Importing the package loads no submodule.  Each name below, and each
+submodule, is imported on first use (PEP 562), so a caller that needs
+only the closed forms never loads numpy, scipy or the FEM layer.
 """
 
 import importlib
@@ -35,7 +35,7 @@ _EXPORTS = {
         "upper_bound_limit",
     ),
 }
-_SUBMODULES = ("bessel", "fem", "spherecaps", "tables")
+_SUBMODULES = tuple(sorted({*_EXPORTS, "bessel", "fem", "spherecaps", "tables"}))
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_ORIGIN) + list(_SUBMODULES)
@@ -47,3 +47,7 @@ def __getattr__(name: str):
     if name in _ORIGIN:
         return getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -37,6 +37,7 @@ per mode come from one exact quadratic solve rather than a root search.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections.abc import Callable, Iterator
@@ -94,6 +95,20 @@ def _sigma_power(mode: RadialMode, eps: float, delta: float, outer: str) -> floa
     return (beta + q * tau) / (eps * (1.0 - tau))
 
 
+@functools.cache
+def _bessel_layer():
+    """numpy and the Bessel kernels, imported by the first lam > 0 mode.
+
+    Cached: a cached call costs about a tenth of the two import
+    statements, and each lam > 0 mode makes two or three calls.
+    """
+    import numpy as np
+
+    from . import bessel
+
+    return np, bessel
+
+
 def _kernels(nu: float, q: int, x: float):
     """Scaled I_nu(x), K_nu(x) and their folded derivatives.
 
@@ -102,8 +117,7 @@ def _kernels(nu: float, q: int, x: float):
     K's difference keeps at least half of K_{nu+1}, as
     K_{nu+1} >= (2 nu / x) K_nu >= (2 q / x) K_nu.
     """
-    from . import bessel
-
+    _, bessel = _bessel_layer()
     i, k = bessel.iv_scaled(nu, x), bessel.kv_scaled(nu, x)
     fi = bessel.iv_scaled(nu + 1, x) + (q / x) * i
     fk = (q / x) * k - bessel.kv_scaled(nu + 1, x)
@@ -111,10 +125,7 @@ def _kernels(nu: float, q: int, x: float):
 
 
 def _sigma_bessel(mode: RadialMode, eps: float, delta: float, outer: str) -> float:
-    import numpy as np
-
-    from . import bessel
-
+    np, bessel = _bessel_layer()
     q, nu = mode.q, mode.nu
     rt = math.sqrt(mode.lam)
     x1, x2 = rt * eps, rt * delta
@@ -173,8 +184,7 @@ def sn_log_normalizer(lam: float, eps: float, delta: float) -> float:
     if lam <= 0:
         raise ValueError(f"need lam > 0, got {lam}")
     _check_radii(eps, delta)
-    from . import bessel
-
+    _, bessel = _bessel_layer()
     rt = math.sqrt(lam)
     x2 = rt * delta
     # K_0' / I_0' = -K_1 / I_1

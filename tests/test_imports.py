@@ -42,12 +42,30 @@ OLD_EXPORTS = {
         "upper_bound_limit",
     ),
 }
+# every submodule it bound then, ordered so that none imports a later one
+OLD_SUBMODULES = (
+    "errors", "harmonics", "tables", "bounds", "radial", "families",
+    "spherecaps", "bessel", "fem",
+)
+
+
+def _fresh(script: str):
+    """The JSON that script prints last, run in a fresh interpreter."""
+    paths = [str(REPO / "src")] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def _modules_after(argv: list[str] | None) -> set[str]:
     """sys.modules of a fresh interpreter after importing the CLI and,
     given argv, running cli.main(argv), which must exit 0."""
-    script = (
+    code, modules = _fresh(
         "import contextlib, io, json, sys\n"
         "from steklov_tubes import cli\n"
         f"argv = {argv!r}\n"
@@ -57,16 +75,7 @@ def _modules_after(argv: list[str] | None) -> set[str]:
         "        code = cli.main(argv)\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
-    paths = [str(REPO / "src")] + [
-        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
-    ]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=REPO
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
-    assert code == 0, proc.stderr
+    assert code == 0
     return set(modules)
 
 
@@ -100,13 +109,30 @@ def test_bessel_modes_load_only_scipy_special():
 
 
 def test_old_exports_resolve():
+    # in a fresh interpreter, so that each submodule is bound by the
+    # package's __getattr__ and not by an earlier import; in this order
+    # no submodule imports a later one
+    listed, bound_early, wrong = _fresh(
+        "import json, sys\n"
+        "import steklov_tubes as p\n"
+        "listed = dir(p)\n"
+        "bound_early, wrong = [], []\n"
+        f"for s in {OLD_SUBMODULES!r}:\n"
+        "    if s in vars(p):\n"
+        "        bound_early.append(s)\n"
+        "    if getattr(p, s) is not sys.modules['steklov_tubes.' + s]:\n"
+        "        wrong.append(s)\n"
+        f"for module, names in {OLD_EXPORTS!r}.items():\n"
+        "    sub = sys.modules['steklov_tubes.' + module]\n"
+        "    wrong += [n for n in names if getattr(p, n) is not getattr(sub, n)]\n"
+        "print(json.dumps([listed, bound_early, wrong]))\n"
+    )
+    assert bound_early == [] and wrong == []
+    old = {name for names in OLD_EXPORTS.values() for name in names}
+    assert old | set(OLD_SUBMODULES) <= set(listed)
     for module, names in OLD_EXPORTS.items():
         sub = importlib.import_module(f"steklov_tubes.{module}")
         for name in names:
             assert getattr(steklov_tubes, name) is getattr(sub, name), name
-    for module in ("bessel", "fem", "spherecaps", "tables"):
-        assert getattr(steklov_tubes, module) is importlib.import_module(
-            f"steklov_tubes.{module}"
-        )
     with pytest.raises(AttributeError):
         steklov_tubes.no_such_name
