@@ -20,6 +20,7 @@ ambient metric moves any eigenvalue by at most a factor K^{m+1/2}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -96,6 +97,9 @@ def lower_bound_check(
     scenario: ExcisionScenario, eps: float, sigma1: float, slack: float = 0.0
 ) -> LowerBoundCheck:
     """Does a computed sigma_1 respect C * eps^{-1/(m+1)} (up to slack)?"""
+    for name, value in (("eps", eps), ("sigma1", sigma1)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     report = constant_C(scenario)

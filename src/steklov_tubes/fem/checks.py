@@ -102,7 +102,7 @@ def poincare_check(
         raise ConfigurationError(f"f must have shape ({ndof},), got {f.shape}")
     if lambda1 is None:
         lambda1 = float(neumann_spectrum(mesh, 2)[1])
-    areas = mesh.cached("areas", Mesh.areas)
+    areas = mesh.areas()
     fd = f[dof[mesh.triangles]]
 
     def region(tris):

@@ -25,9 +25,13 @@ Three generators:
 Every generator lists the boundary rings it placed, the torus its hole
 polygons (hole j carries marker j wherever its center lies).  The torus
 mesh covers a translate of the fundamental square whose seams run clear
-of every hole, and the periodic gluing exists only in the dof map, so
-validate (listed boundary edges == edges of one triangle) and the Euler
-characteristic (-b for b holes) read one dof-space edge table.
+of every hole, and the periodic gluing exists only in the dof map.
+
+Each mesh sorts its edges once: Mesh.edges() caches the dof-space edge
+table, and Mesh.areas() the signed triangle areas.  validate (positive
+areas, no edge of three triangles, listed boundary edges == edges of one
+triangle), the Euler characteristic (-b for b holes) and fem.solve's
+single CSR pattern of K and M all read these two arrays.
 """
 
 from __future__ import annotations
@@ -43,8 +47,10 @@ from scipy.spatial import Delaunay
 from ..errors import ConfigurationError, NumericalError
 
 
-def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Triangle areas, positive for CCW corners, gathered one coordinate at a time."""
+    x, y = (vertices[:, i][triangles.T] for i in (0, 1))
+    return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
 
 
 def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -52,17 +58,16 @@ def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The 3*nt directed edges are the 0-1 sides of every triangle, then the
     1-2 sides, then the 2-0 sides; inverse maps each to its row of the
-    unique (a < b) pairs, which come out in lexicographic order.  The
+    unique (a <= b) pairs, which come out in lexicographic order.  The
     sort key a*n + b is int64 so it cannot wrap for large meshes.
     """
-    edges = np.sort(
-        np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1
-    ).astype(np.int64)
-    n = edges.max(initial=0) + 1
-    keys, inverse, counts = np.unique(
-        edges[:, 0] * n + edges[:, 1], return_inverse=True, return_counts=True
-    )
-    return np.column_stack([keys // n, keys % n]), inverse, counts
+    corners = tri.T.astype(np.int64, order="C")
+    start, end = corners.ravel(), corners[[1, 2, 0]].ravel()
+    n = tri.max(initial=0) + 1
+    keys = np.minimum(start, end) * n
+    keys += np.maximum(start, end)
+    keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return np.column_stack(np.divmod(keys, n)), inverse, counts
 
 
 # A generator refuses a mesh estimated above MAX_VERTICES before it
@@ -114,11 +119,11 @@ class Mesh:
 
     The arrays are read-only copies of the constructor's, so a generator
     finishes every array, the torus boundary included, before it builds
-    the mesh.  The dof map, the operators of solve.assemble, the Steklov
-    and Neumann spectra of fem.solve, and the areas and boundary masses
-    of fem.checks are cached on the instance, so every check and solve on
-    one mesh object shares them; dataclasses.replace gives a new mesh
-    with a fresh cache.
+    the mesh.  The dof map, the edge table, the areas, the operators of
+    solve.assemble, the Steklov and Neumann spectra of fem.solve and the
+    boundary masses of fem.checks are cached on the instance, so every
+    check and solve on one mesh object shares them; dataclasses.replace
+    gives a new mesh with a fresh cache.
 
     rays > 0 declares the ray-periodic layout of the annulus generator:
     vertex i*rays + k on ring i, and turning by one ray (k -> k + 1 mod
@@ -178,14 +183,30 @@ class Mesh:
 
         return self.cached("dof_map", build)
 
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_edge_table of the triangles in dof space (cached, read-only).
+
+        A triangle with two corners on one dof would give a self-edge
+        (a, a), which neither validate nor the CSR pattern of
+        fem.solve can place; it raises NumericalError.
+        """
+
+        def build(m: Mesh):
+            dof, _ = m.dof_map()
+            table = _edge_table(dof[m.triangles])
+            if np.any(table[0][:, 0] == table[0][:, 1]):
+                raise NumericalError("a triangle has two corners on one dof")
+            return table
+
+        return self.cached("edges", build)
+
     def areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        """Signed triangle areas, positive for CCW corners (cached, read-only)."""
+        return self.cached("areas", lambda m: _signed_areas(m.vertices, m.triangles))
 
     def euler_characteristic(self) -> int:
-        dof, ndof = self.dof_map()
-        edges, _, _ = _edge_table(dof[self.triangles])
-        return ndof - len(edges) + self.num_triangles
+        _, ndof = self.dof_map()
+        return ndof - len(self.edges()[0]) + self.num_triangles
 
     def boundary_length(self, marker: int | None = None) -> float:
         sel = (
@@ -201,12 +222,12 @@ class Mesh:
         if np.any(self.areas() <= 0):
             raise NumericalError("mesh has non-CCW or degenerate triangles")
         dof, _ = self.dof_map()
-        uniq, _, counts = _edge_table(dof[self.triangles])
+        uniq, _, counts = self.edges()
         if np.any(counts > 2):
             raise NumericalError("mesh edge shared by more than two triangles")
-        free = {tuple(e) for e in uniq[counts == 1]}
-        listed = {tuple(sorted(dof[e])) for e in self.boundary_edges}
-        if free != listed:
+        free = uniq[counts == 1]
+        listed = np.unique(np.sort(dof[self.boundary_edges], axis=1), axis=0)
+        if not np.array_equal(free, listed):
             raise NumericalError(
                 f"boundary edges inconsistent: {len(free)} from triangles, "
                 f"{len(listed)} listed"
@@ -268,8 +289,7 @@ class Mesh:
 
 
 def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = vertices[triangles]
-    flip = _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) < 0
+    flip = _signed_areas(vertices, triangles) < 0
     out = triangles.copy()
     out[flip] = out[flip][:, [0, 2, 1]]
     return out
@@ -352,9 +372,9 @@ def _mesh_disk(radius: float, h: float) -> Mesh:
 
 
 def _mesh_annulus(r_in: float, r_out: float, h: float) -> Mesh:
-    if not (0 < r_in < r_out) or h <= 0:
+    if not (0 < r_in < r_out) or not (h > 0):
         raise ConfigurationError(
-            f"need 0 < r_in < r_out and h > 0, got {r_in}, {r_out}, {h}"
+            f"need 0 < r_in < r_out and h > 0, got r_in={r_in}, r_out={r_out}, h={h}"
         )
     _check_size(estimate_vertices, Annulus(r_in, r_out), h)
     n_r, n_t = _annulus_grid(r_in, r_out, h)
@@ -365,11 +385,11 @@ def _mesh_annulus(r_in: float, r_out: float, h: float) -> Mesh:
     )
 
     # vertex i*n_t + k sits on ring i at angle k; each cell (i, k) splits
-    # into two triangles along its (i, k)-(i+1, k+1) diagonal
+    # into two CCW triangles along its (i, k)-(i+1, k+1) diagonal
     a = np.arange(n_r * n_t, dtype=np.int64)
     d = a - a % n_t + (a + 1) % n_t
     cells = np.column_stack([a, a + n_t, d + n_t, a, d + n_t, d])
-    triangles = _orient_ccw(vertices, cells.reshape(-1, 3))
+    triangles = cells.reshape(-1, 3)
     ring = np.column_stack([a[:n_t], d[:n_t]])
     be = np.concatenate([ring, ring + n_r * n_t])
     mesh = Mesh(
@@ -454,7 +474,7 @@ def mesh_torus_minus_disks(
     no point moves once placed.  Returns a validated mesh whose only
     boundary edges are the hole polygons, marked by hole index.
     """
-    if side <= 0:
+    if not (side > 0):
         raise ConfigurationError(f"side must be > 0, got {side}")
     centers = np.asarray(centers, dtype=float).reshape(-1, 2) % side
     b = len(centers)

@@ -1,5 +1,12 @@
 """P1 assembly and the two spectral solves used by the benchmarks.
 
+Assembly reads the mesh's cached dof-space edge table and areas, the
+ones validate and the Euler characteristic read.  Each triangle gives
+three side entries and three diagonal entries of K and of M; a bincount
+sums them per unique edge and per dof, and they are written onto one
+CSR pattern built from the edge table, whose indices and indptr K and M
+share.
+
 Both spectra are the smallest eigenvalues of a symmetric pencil
 K u = lam B u with K and B positive semidefinite.  For the Neumann
 problem B = M, the consistent mass.  For the Steklov problem
@@ -79,26 +86,62 @@ def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarr
     return mesh.cached("operators", _assemble)
 
 
+def _pattern(edges: np.ndarray, ndof: int):
+    """CSR pattern of a P1 operator on the edge table's (a < b) pairs.
+
+    Row r holds its edges (c, r) by ascending c, then r, then its edges
+    (r, c) by ascending c, so the indices come out sorted.  Returns
+    (indptr, indices, diag, upper, lower): the slots of each dof's
+    diagonal and of each edge's (a, b) and (b, a) entries.
+    """
+    a, b = edges.T
+    steps = np.arange(len(edges))
+    n_below, n_above = np.bincount(b, minlength=ndof), np.bincount(a, minlength=ndof)
+    indptr = np.concatenate([[0], np.cumsum(n_below + 1 + n_above)])
+    diag = indptr[:-1] + n_below
+    # the table is sorted by (a, b): row a's edges are consecutive from
+    # edge first_above[a], and the upper triangle's CSC order, a counting
+    # sort, lists the edges by (b, a)
+    first_above = np.cumsum(n_above) - n_above
+    upper = (diag + 1 - first_above)[a] + steps
+    by_b = sparse.csr_matrix(
+        (steps, b, np.append(first_above, len(edges))), shape=(ndof, ndof)
+    ).tocsc().data
+    lower = np.empty_like(upper)
+    lower[by_b] = (indptr[:-1] - (np.cumsum(n_below) - n_below))[b[by_b]] + steps
+    index = np.int32 if indptr[-1] < 2**31 else np.int64
+    indices = np.empty(indptr[-1], dtype=index)
+    indices[diag], indices[upper], indices[lower] = np.arange(ndof), b, a
+    return indptr.astype(index), indices, diag, upper, lower
+
+
 def _assemble(mesh: Mesh):
     dof, ndof = mesh.dof_map()
-    p = mesh.vertices[mesh.triangles]
-    # edge vectors opposite each vertex; grad phi_i = perp(e_i) / (2A)
-    e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-    area = 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+    edges, inverse, _ = mesh.edges()
+    area = mesh.areas()
     if np.any(area <= 0):
         raise NumericalError("assembly requires CCW triangles with positive area")
-    k_loc = np.einsum("tia,tja->tij", e, e) / (4.0 * area)[:, None, None]
-    m_loc = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+    # rows e_0, e_1, e_2, e_0 of each triangle, e_i the side opposite
+    # corner i (from corner i + 1 to i + 2); grad phi_i = perp(e_i) / (2A).
+    # Side k of _edge_table joins corners k and k + 1, so its entry is
+    # e_k . e_(k+1) / (4A)
+    ex, ey = (np.diff(mesh.vertices[:, i][mesh.triangles.T[[1, 2, 0, 1, 2]]], axis=0)
+              for i in (0, 1))
+    w = 0.25 / area
+    k_side = (ex[:3] * ex[1:] + ey[:3] * ey[1:]) * w
+    k_diag = (ex[:3] ** 2 + ey[:3] ** 2) * w
 
-    td = dof[mesh.triangles]
-    rows = np.repeat(td, 3, axis=1).ravel()
-    cols = np.tile(td, (1, 3)).ravel()
-    K = sparse.coo_matrix(
-        (k_loc.ravel(), (rows, cols)), shape=(ndof, ndof)
-    ).tocsr()
-    M = sparse.coo_matrix(
-        (m_loc.ravel(), (rows, cols)), shape=(ndof, ndof)
-    ).tocsr()
+    corner_dof = dof[mesh.triangles.T].ravel()
+    indptr, indices, diag, upper, lower = _pattern(edges, ndof)
+
+    def operator(side: np.ndarray, corner: np.ndarray) -> sparse.csr_matrix:
+        data = np.empty(len(indices))
+        data[upper] = data[lower] = np.bincount(inverse, side.ravel(), len(edges))
+        data[diag] = np.bincount(corner_dof, corner.ravel(), ndof)
+        return sparse.csr_matrix((data, indices, indptr), shape=(ndof, ndof))
+
+    K = operator(k_side, k_diag)
+    M = operator(np.tile(area / 12.0, 3), np.tile(area / 6.0, 3))
     for arr in (K.data, K.indices, K.indptr, M.data, M.indices, M.indptr):
         arr.flags.writeable = False
     return K, M, dof, ndof

@@ -85,6 +85,10 @@ def test_lower_bound_check():
     assert lower_bound_check(sc, eps, sigma1=0.9 * thr, slack=0.2).holds
     with pytest.raises(ValueError):
         lower_bound_check(sc, 0.0, 1.0)
+    # a NaN or infinite argument is refused by name, not reported as a check
+    for args, name in (((math.inf, 1.0), "eps"), ((eps, math.nan), "sigma1")):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            lower_bound_check(sc, *args)
 
 
 def test_upper_bound_limit():

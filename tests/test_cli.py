@@ -102,7 +102,17 @@ def test_exit_codes(capsys, tmp_path):
     # error, and --out is checked before any work: no criterion line, no
     # "# mesh:" line and no other output precedes the error
     missing = tmp_path / "no-such-dir"
+    # a NaN or infinite number is refused, by the argument's name
+    non_finite = {
+        "sigma1": ["bounds", "--scenario", TORUS, "--eps", "0.01", "--sigma1", "nan",
+                   "--format", "json"],
+        "eps": ["bounds", "--scenario", TORUS, "--eps", "inf", "--sigma1", "5.0",
+                "--format", "json"],
+        "h=nan": ["fem", "--domain", "annulus", "--h", "nan"],
+        "side": ["fem", "--domain", "torus", "--side", "nan", "--h", "0.01", "--eps", "0.05"],
+    }
     for argv in (
+        *non_finite.values(),
         ["bounds", "--scenario", str(SCENARIOS)],
         ["fem", "--domain", "disk", "--h", "0.02", "--out", str(missing / "x.csv")],
         ["fem", "--domain", "disk", "--h", "0.5", "--out", str(tmp_path)],
@@ -130,6 +140,9 @@ def test_exit_codes(capsys, tmp_path):
         assert out == "", argv
         assert len(err.splitlines()) == 1, argv
         assert json.loads(err)["error"] == "configuration", argv
+    for name, argv in non_finite.items():
+        assert main(argv) == 1
+        assert name in json.loads(capsys.readouterr().err)["message"], argv
     # the disk's circle carries marker 1, as on the mesh
     assert main(["fem", "--domain", "disk", "--h", "0.5", "--neumann-markers", "0"]) == 1
     assert "marker 0 not present" in capsys.readouterr().err

@@ -336,6 +336,37 @@ def test_assemble_partition_of_unity(annulus_mesh):
     assert float(d.sum()) == pytest.approx(3 * math.pi, rel=5e-3)
 
 
+def _coo_assembly(mesh):
+    """The element-by-element COO assembly that the shared CSR pattern replaced."""
+    dof, ndof = mesh.dof_map()
+    p = mesh.vertices[mesh.triangles]
+    e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+    area = 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+    k_loc = np.einsum("tia,tja->tij", e, e) / (4.0 * area)[:, None, None]
+    m_loc = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+    td = dof[mesh.triangles]
+    rows, cols = np.repeat(td, 3, axis=1).ravel(), np.tile(td, (1, 3)).ravel()
+    return [
+        sparse.coo_matrix((loc.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+        for loc in (k_loc, m_loc)
+    ]
+
+
+def test_assemble_matches_coo_oracle(disk_mesh, annulus_mesh, torus_mesh):
+    for mesh in (disk_mesh, annulus_mesh, torus_mesh):
+        K, M, _, _ = assemble(mesh)
+        K_ref, M_ref = _coo_assembly(mesh)
+        for A, ref in ((K, K_ref), (M, M_ref)):
+            # the same sorted pattern, explicit zeros included, and K and M share it
+            assert A.has_sorted_indices
+            assert np.array_equal(A.indptr, ref.indptr)
+            assert np.array_equal(A.indices, ref.indices)
+            assert np.shares_memory(A.indices, K.indices)
+            assert np.shares_memory(A.indptr, K.indptr)
+            assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    assert len(torus_mesh.periodic_pairs) and len(np.unique(torus_mesh.boundary_markers)) == 2
+
+
 def test_boundary_mass_matches_edge_loop(annulus_mesh, torus_mesh):
     # the per-edge loop boundary_mass replaced, as a reference: same sums
     # in the same order, so the vectors are equal, not just close

@@ -17,7 +17,7 @@ from steklov_tubes.fem import (
     steklov_spectrum,
 )
 from steklov_tubes.fem import mesh as mesh_mod
-from steklov_tubes.fem.mesh import _cross2, _edge_table
+from steklov_tubes.fem.mesh import _edge_table
 from steklov_tubes.fem.solve import assemble
 
 CENTERS = ((0.25, 0.25), (0.75, 0.75))
@@ -67,7 +67,8 @@ def _worst_opposite_angle_sum(mesh):
     for k in range(3):
         u = p[:, k] - p[:, (k + 2) % 3]
         v = p[:, (k + 1) % 3] - p[:, (k + 2) % 3]
-        angles.append(np.arctan2(np.abs(_cross2(u, v)), (u * v).sum(axis=1)))
+        cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        angles.append(np.arctan2(np.abs(cross), (u * v).sum(axis=1)))
     sums = np.bincount(inverse, np.concatenate(angles), len(edges))
     return sums[counts == 2].max()
 
@@ -252,6 +253,42 @@ def test_validate_guards_hole_polygons(torus_mesh):
     for mesh in broken:
         with pytest.raises(NumericalError, match="boundary edges inconsistent"):
             mesh.validate()
+
+
+def test_one_edge_table_per_mesh(monkeypatch):
+    # the generator's validate, the Euler characteristic and assembly
+    # share the mesh's cached edge table
+    calls = []
+
+    def counting(tri):
+        calls.append(len(tri))
+        return _edge_table(tri)
+
+    monkeypatch.setattr(mesh_mod, "_edge_table", counting)
+    for build in (
+        lambda: mesh_planar(Disk(1.0), 0.2),
+        lambda: mesh_planar(Annulus(0.5, 1.0), 0.1),
+        lambda: mesh_torus_minus_disks(1.0, TORUS_CENTERS, 0.05, 0.01),
+    ):
+        calls.clear()
+        mesh = build()
+        mesh.euler_characteristic()
+        mesh.validate()
+        assemble(mesh)
+        assert calls == [mesh.num_triangles]
+    assert mesh.edges() is mesh.edges() and mesh.areas() is mesh.areas()
+
+
+def test_validate_refuses_self_edge():
+    # two corners of one triangle glued by periodic_pairs fall on one dof
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tris = np.array([[0, 1, 2], [1, 3, 2]])
+    be = np.array([[0, 1], [1, 3], [3, 2], [2, 0]])
+    markers = np.zeros(4, dtype=np.int64)
+    Mesh(verts, tris, be, markers).validate()
+    glued = Mesh(verts, tris, be, markers, np.array([[1, 0]]))
+    with pytest.raises(NumericalError, match="two corners on one dof"):
+        glued.validate()
 
 
 def test_bare_torus():
