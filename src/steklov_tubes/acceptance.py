@@ -15,14 +15,16 @@ Each criterion exercises one quantitative claim end to end:
 
 run() executes a subset and returns one CriterionResult per criterion;
 meshes are built once in a SuiteCache and shared, and each mesh solves
-its spectra once.  Checks record one line per assertion; any line
-starting with "FAIL" fails its criterion.  Everything random is seeded.
+its spectra once.  Each criterion yields one (ok, message) pair per
+assertion; run() writes them as "ok: " and "FAIL: " lines, and one
+false ok fails the criterion.  Everything random is seeded.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +114,6 @@ class SuiteCache:
         return self._get(("disk", h), lambda: mesh_planar(Disk(1.0), h))
 
 
-def _check(lines: list[str], ok: bool, msg: str) -> None:
-    lines.append(("ok: " if ok else "FAIL: ") + msg)
-
-
 # ---------------------------------------------------------------------------
 # 1: radial model limits
 
@@ -129,8 +127,7 @@ _KINDS = {
 _MN_PAIRS = ((2, 0), (3, 0), (3, 1), (4, 1), (4, 2), (5, 0))
 
 
-def _criterion_1(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_1(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     delta = 0.5
     for m, n in _MN_PAIRS:
         scenario = ExcisionScenario(m, 1.0, (_KINDS[n](),))
@@ -140,37 +137,32 @@ def _criterion_1(cache: SuiteCache, seed: int) -> list[str]:
             tol = 0.06 if log_case else 0.01
             val = families.scaled_sigma(scenario, case, eps, delta)
             rel = abs(val - case.predicted) / abs(case.predicted)
-            _check(
-                lines,
+            yield (
                 rel <= tol,
                 f"(m={m}, n={n}, q={case.q}, {case.family}, k={case.k}) "
                 f"{case.normalization}: {val:.6f} vs {case.predicted} "
                 f"(rel {rel:.2e}, tol {tol})",
             )
-    return lines
 
 
 # ---------------------------------------------------------------------------
 # 2: sphere caps closed forms vs oracle
 
 
-def _criterion_2(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_2(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     for n in range(6):
         for eps in (0.1, 0.3, 0.5):
             lo, hi = spherecaps.ode_oracle(n, eps, grid=4000)
             if n == 0:
                 exact = spherecaps.sigma_zero(eps)
-                _check(
-                    lines,
+                yield (
                     abs(lo) <= 1e-5 * exact and abs(hi - exact) <= 1e-5 * exact,
                     f"n=0 eps={eps}: oracle ({lo:.2e}, {hi:.8f}) vs (0, {exact:.8f})",
                 )
             else:
                 exlo, exhi = spherecaps.sigma_pm(n, eps)
                 ok = abs(lo - exlo) <= 1e-5 * exlo and abs(hi - exhi) <= 1e-5 * exhi
-                _check(
-                    lines,
+                yield (
                     ok,
                     f"n={n} eps={eps}: oracle ({lo:.8f}, {hi:.8f}) "
                     f"vs closed ({exlo:.8f}, {exhi:.8f})",
@@ -179,21 +171,19 @@ def _criterion_2(cache: SuiteCache, seed: int) -> list[str]:
                     abs(spherecaps.determinant_residual(n, eps, exlo)),
                     abs(spherecaps.determinant_residual(n, eps, exhi)),
                 )
-                _check(lines, res <= 1e-9, f"n={n} eps={eps}: residual {res:.2e}")
+                yield res <= 1e-9, f"n={n} eps={eps}: residual {res:.2e}"
     for n in range(1, 6):
         eps = 1e-3
         lo, hi = spherecaps.sigma_pm(n, eps)
         dev = max(abs(eps * lo - n), abs(eps * hi - n)) / n
-        _check(lines, dev <= 0.005, f"n={n}: eps*sigma dev {dev:.2e} at eps=1e-3")
-    return lines
+        yield dev <= 0.005, f"n={n}: eps*sigma dev {dev:.2e} at eps=1e-3"
 
 
 # ---------------------------------------------------------------------------
 # 3: torus bracketing
 
 
-def _criterion_3(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_3(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     h = BRACKET_EPS / 6.0
     fem_vals = steklov_spectrum(cache.torus_mesh(BRACKET_EPS, h), 10)
     scenario = torus_scenario()
@@ -201,105 +191,86 @@ def _criterion_3(cache: SuiteCache, seed: int) -> list[str]:
     for ell, (lower, upper) in enumerate(pairs):
         sig = float(fem_vals[ell])
         ok = lower <= sig * 1.02 and sig <= upper * 1.02
-        _check(
-            lines,
-            ok,
-            f"ell={ell}: {lower:.6f} <= {sig:.6f} <= {upper:.6f} (2% slack)",
-        )
-    return lines
+        yield ok, f"ell={ell}: {lower:.6f} <= {sig:.6f} <= {upper:.6f} (2% slack)"
 
 
 # ---------------------------------------------------------------------------
 # 4: scaled sigma_2 trend on the torus
 
 
-def _criterion_4(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_4(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     devs = []
     for eps in TREND_EPS:
         vals = steklov_spectrum(cache.torus_mesh(eps, _trend_h(eps)), 3)
         devs.append(abs(eps * float(vals[2]) - 1.0))
     for (eps, dev), prev in zip(zip(TREND_EPS[1:], devs[1:]), devs):
-        _check(lines, dev < prev, f"deviation {dev:.5f} < {prev:.5f} at eps={eps}")
-    _check(lines, devs[-1] < 0.15, f"final deviation {devs[-1]:.5f} < 0.15")
-    return lines
+        yield dev < prev, f"deviation {dev:.5f} < {prev:.5f} at eps={eps}"
+    yield devs[-1] < 0.15, f"final deviation {devs[-1]:.5f} < 0.15"
 
 
 # ---------------------------------------------------------------------------
 # 5: upper bound proxy
 
 
-def _criterion_5(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_5(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     limit = bounds_mod.upper_bound_limit(torus_scenario())
     eps = 0.01
     sig1 = float(steklov_spectrum(cache.torus_mesh(eps, eps / 6.0), 3)[1])
-    _check(
-        lines,
+    yield (
         eps * sig1 <= 1.1 * limit,
         f"torus: eps*sigma_1 = {eps * sig1:.4f} <= {1.1 * limit}",
     )
     cap_limit = bounds_mod.upper_bound_limit(sphere_scenario())
     worst = 0.0
     for eps in (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 1e-4):
-        sig1 = min(spherecaps.sigma_zero(eps), spherecaps.sigma_pm(1, eps)[0])
+        sig1 = spherecaps.full_spectrum(eps, 2)[1].value
         worst = max(worst, eps * sig1)
-    _check(
-        lines,
+    yield (
         worst <= 1.1 * cap_limit,
         f"caps: max eps*sigma_1 = {worst:.4f} <= {1.1 * cap_limit}",
     )
-    return lines
 
 
 # ---------------------------------------------------------------------------
 # 6: lower bound constant and thresholds
 
 
-def _criterion_6(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_6(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     report = bounds_mod.constant_C(torus_scenario())
     target = math.pi**2 / 128.0
-    _check(
-        lines,
+    yield (
         abs(report.constant_C - target) <= 1e-12,
         f"C = {report.constant_C!r} vs pi^2/128 = {target!r}",
     )
-    _check(lines, report.binding_term == "spectral", f"binding {report.binding_term}")
+    yield report.binding_term == "spectral", f"binding {report.binding_term}"
     for eps in TREND_EPS:
         sig1 = float(steklov_spectrum(cache.torus_mesh(eps, eps / 6.0), 3)[1])
         res = bounds_mod.lower_bound_check(torus_scenario(), eps, sig1, slack=0.0)
-        _check(
-            lines,
+        yield (
             res.holds,
             f"torus eps={eps}: sigma_1 {sig1:.4f} >= threshold {res.threshold:.4f}",
         )
     for eps in (0.1, 0.01, 0.001):
-        sig1 = min(spherecaps.sigma_zero(eps), spherecaps.sigma_pm(1, eps)[0])
+        sig1 = spherecaps.full_spectrum(eps, 2)[1].value
         res = bounds_mod.lower_bound_check(sphere_scenario(), eps, sig1, slack=0.0)
-        _check(
-            lines,
+        yield (
             res.holds,
             f"caps eps={eps}: sigma_1 {sig1:.4f} >= threshold {res.threshold:.4f}",
         )
-    return lines
 
 
 # ---------------------------------------------------------------------------
 # 7: torus Neumann gap stability
 
 
-def _criterion_7(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_7(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     eps = 0.01
     lam1 = float(neumann_spectrum(cache.torus_mesh(eps, eps / 6.0), 2)[1])
     rel = abs(lam1 - LAMBDA1_TORUS) / LAMBDA1_TORUS
-    _check(
-        lines,
+    yield (
         rel <= 0.05,
         f"lambda_1 = {lam1:.4f} vs 4 pi^2 = {LAMBDA1_TORUS:.4f} (rel {rel:.4f})",
     )
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +321,7 @@ def _torus_regions(mesh):
     return near(0.25, 0.75), near(0.75, 0.25)
 
 
-def _criterion_8(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_8(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     rng = np.random.default_rng(seed)
 
     annulus = cache.annulus_mesh(0.04)
@@ -360,7 +330,7 @@ def _criterion_8(cache: SuiteCache, seed: int) -> list[str]:
         not dirichlet_energy_check(annulus, f, sigma1_sn, marker=0).holds
         for f in _random_annulus_functions(annulus, rng, 100)
     )
-    _check(lines, fails == 0, f"dirichlet energy: {fails}/100 failures")
+    yield fails == 0, f"dirichlet energy: {fails}/100 failures"
 
     torus = cache.torus_mesh(BRACKET_EPS, BRACKET_EPS / 6.0)
     dof, ndof = torus.dof_map()
@@ -369,8 +339,7 @@ def _criterion_8(cache: SuiteCache, seed: int) -> list[str]:
         not poincare_check(torus, f, tris_a, tris_b).holds
         for f in _random_torus_functions(torus, dof, ndof, rng, 100)
     )
-    _check(lines, fails == 0, f"poincare: {fails}/100 failures")
-    return lines
+    yield fails == 0, f"poincare: {fails}/100 failures"
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +356,15 @@ def _annulus_reference(count: int) -> list[float]:
     return sorted(vals)[:count]
 
 
-def _criterion_9(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_9(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     fem_vals = steklov_spectrum(cache.annulus_mesh(0.005), 8)
     exact = _annulus_reference(8)
     for i, (got, want) in enumerate(zip(fem_vals, exact)):
         if want == 0.0:
-            ok = abs(got) <= 1e-8
-            _check(lines, ok, f"annulus sigma_{i}: {got:.2e} vs 0")
+            yield abs(got) <= 1e-8, f"annulus sigma_{i}: {got:.2e} vs 0"
         else:
             rel = abs(got - want) / want
-            _check(
-                lines,
+            yield (
                 rel <= 0.01,
                 f"annulus sigma_{i}: {got:.6f} vs {want:.6f} (rel {rel:.2e})",
             )
@@ -406,23 +372,17 @@ def _criterion_9(cache: SuiteCache, seed: int) -> list[str]:
     disk_exact = [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0]
     for i, (got, want) in enumerate(zip(fem_vals, disk_exact)):
         if want == 0.0:
-            _check(lines, abs(got) <= 1e-8, f"disk sigma_{i}: {got:.2e} vs 0")
+            yield abs(got) <= 1e-8, f"disk sigma_{i}: {got:.2e} vs 0"
         else:
             rel = abs(got - want) / want
-            _check(
-                lines,
-                rel <= 0.01,
-                f"disk sigma_{i}: {got:.6f} vs {want} (rel {rel:.2e})",
-            )
-    return lines
+            yield rel <= 0.01, f"disk sigma_{i}: {got:.6f} vs {want} (rel {rel:.2e})"
 
 
 # ---------------------------------------------------------------------------
 # 10: Bessel Wronskian and radial scaling
 
 
-def _criterion_10(cache: SuiteCache, seed: int) -> list[str]:
-    lines: list[str] = []
+def _criterion_10(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     for _ in range(1000):
@@ -434,7 +394,7 @@ def _criterion_10(cache: SuiteCache, seed: int) -> list[str]:
             + iv_scaled(nu + 1, x) * kv_scaled(nu, x)
         )
         worst = max(worst, abs(w - 1.0))
-    _check(lines, worst <= 1e-10, f"Wronskian worst residual {worst:.2e}")
+    yield worst <= 1e-10, f"Wronskian worst residual {worst:.2e}"
 
     worst = 0.0
     for _ in range(1000):
@@ -454,8 +414,7 @@ def _criterion_10(cache: SuiteCache, seed: int) -> list[str]:
         else:
             rel = abs(c * scaled - base) / abs(base)
         worst = max(worst, rel)
-    _check(lines, worst <= 1e-10, f"scaling law worst residual {worst:.2e}")
-    return lines
+    yield worst <= 1e-10, f"scaling law worst residual {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +452,9 @@ def run(
     for i in indices:
         name, fn = _CRITERIA[i - 1]
         start = time.perf_counter()
-        lines = fn(cache, seed)
+        checks = list(fn(cache, seed))
         elapsed = time.perf_counter() - start
-        passed = not any(line.startswith("FAIL") for line in lines)
-        results.append(CriterionResult(i, name, passed, tuple(lines), elapsed))
+        lines = tuple(("ok: " if ok else "FAIL: ") + msg for ok, msg in checks)
+        passed = all(ok for ok, _ in checks)
+        results.append(CriterionResult(i, name, passed, lines, elapsed))
     return results

@@ -11,13 +11,18 @@ Subcommands:
   bounds          explicit lower-bound constant and threshold checks
   verify-all      the full acceptance suite
 
+model-spectrum, bracket and rates share --scenario/--eps/--delta: each
+loads the scenario, echoes the delta in effect on stderr and checks the
+eps grid before any work.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 acceptance failure.  Failures print one JSON object on stderr.
 
 Output tables are byte-stable: floats are written with repr, JSON keys
-are sorted, and no timestamps appear in any artifact.  Run metadata
-that is not part of the artifact (the delta in effect, progress lines)
-goes to stderr.
+are sorted, and no timestamps appear in any artifact.  A CSV header is
+the key order of the command's rows, as the layers build them.  Run
+metadata that is not part of the artifact (the delta in effect, progress
+lines) goes to stderr.
 
 main(argv) may be called repeatedly in one process: it builds the
 argument parser on its first call and reuses it on every later one.
@@ -46,29 +51,6 @@ from . import tables
 from .errors import ConfigurationError, NumericalError
 from .harmonics import load_scenario
 
-RATE_COLUMNS = (
-    "j",
-    "k",
-    "q",
-    "family",
-    "normalization",
-    "predicted",
-    "fitted",
-    "monotone",
-)
-
-BRACKET_COLUMNS = ("eps", "ell", "lower", "upper")
-
-BOUND_COLUMNS = (
-    "constant_C",
-    "exponent",
-    "term_dimension",
-    "term_volume",
-    "term_spectral",
-    "binding_term",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors, which collides with
     # the numerical-failure code; reroute to the configuration path.
@@ -90,16 +72,17 @@ def _eps_grid(values: list[float], delta: float | None = None) -> list[float]:
     return list(values)
 
 
-def _resolve_delta(arg_delta: float | None, default: float) -> float:
-    if arg_delta is None:
-        delta = default
-        print(f"# delta = {delta!r} (default)", file=sys.stderr)
-    else:
-        delta = arg_delta
-        print(f"# delta = {delta!r}", file=sys.stderr)
+def _sweep(args):
+    """Scenario, delta and eps grid of a model sweep; the delta goes to stderr."""
+    from . import families
+
+    scenario = load_scenario(args.scenario)
+    delta = families.DELTA_DEFAULT if args.delta is None else args.delta
+    note = " (default)" if args.delta is None else ""
+    print(f"# delta = {delta!r}{note}", file=sys.stderr)
     if delta <= 0:
         raise ConfigurationError(f"delta must be > 0, got {delta}")
-    return delta
+    return scenario, delta, _eps_grid(args.eps, delta)
 
 
 def _check_out(path: str) -> None:
@@ -110,12 +93,15 @@ def _check_out(path: str) -> None:
         os.remove(path)
 
 
-def _emit(obj, args, columns: tuple[str, ...] | None = None) -> None:
-    """Write rows as CSV (given columns and --format csv), else obj as JSON."""
+def _emit(obj, args, table: bool = False) -> None:
+    """Write obj as JSON, or, for a table under --format csv, its rows as CSV.
+
+    The CSV header is the key order of the first row.
+    """
 
     def write(out):
-        if columns is not None and args.format == "csv":
-            tables.write_csv(obj, columns, out)
+        if table and args.format == "csv":
+            tables.write_csv(obj, tuple(obj[0]), out)
         else:
             tables.write_json(obj, out)
 
@@ -133,9 +119,7 @@ def _emit(obj, args, columns: tuple[str, ...] | None = None) -> None:
 def _cmd_model_spectrum(args) -> int:
     from . import families
 
-    scenario = load_scenario(args.scenario)
-    delta = _resolve_delta(args.delta, families.DELTA_DEFAULT)
-    grid = _eps_grid(args.eps, delta)
+    scenario, delta, grid = _sweep(args)
     rows = []
     for eps in grid:
         entries = families.truncated_spectrum(
@@ -149,35 +133,30 @@ def _cmd_model_spectrum(args) -> int:
             include_zero_modes=args.include_zero_modes,
         )
         rows.extend(tables.mode_rows(eps, entries))
-    _emit(rows, args, tables.MODE_COLUMNS)
+    _emit(rows, args, table=True)
     return 0
 
 
 def _cmd_bracket(args) -> int:
     from . import families
 
-    scenario = load_scenario(args.scenario)
-    delta = _resolve_delta(args.delta, families.DELTA_DEFAULT)
-    grid = _eps_grid(args.eps, delta)
+    scenario, delta, grid = _sweep(args)
     rows = []
     for eps in grid:
         pairs = families.bracket(scenario, eps, delta, args.ell_max)
         for ell, (lower, upper) in enumerate(pairs):
             rows.append({"eps": eps, "ell": ell, "lower": lower, "upper": upper})
-    _emit(rows, args, BRACKET_COLUMNS)
+    _emit(rows, args, table=True)
     return 0
 
 
 def _cmd_rates(args) -> int:
     from . import families
 
-    scenario = load_scenario(args.scenario)
-    delta = _resolve_delta(args.delta, families.DELTA_DEFAULT)
-    grid = _eps_grid(args.eps, delta)
+    scenario, delta, grid = _sweep(args)
     if len(grid) < 3:
         raise ConfigurationError(f"rates needs at least 3 eps values, got {len(grid)}")
-    rows = families.rate_table(scenario, grid, delta, q_max=args.qmax)
-    _emit(rows, args, RATE_COLUMNS)
+    _emit(families.rate_table(scenario, grid, delta, q_max=args.qmax), args, table=True)
     return 0
 
 
@@ -192,21 +171,15 @@ def _cmd_sphere_caps(args) -> int:
     rows = []
     for eps in grid:
         if args.n is None:
-            cells = [
-                (mode.n, mode.parity, mode.multiplicity, mode.value)
-                for mode in spherecaps.full_spectrum(eps, args.count)
-            ]
+            modes = spherecaps.full_spectrum(eps, args.count)
         else:
-            if args.n == 0:
-                lo, hi, mult = 0.0, spherecaps.sigma_zero(eps), 1
-            else:
-                (lo, hi), mult = spherecaps.sigma_pm(args.n, eps), 2
-            cells = [(args.n, "even", mult, lo), (args.n, "odd", mult, hi)]
-            if args.oracle_grid is not None:
-                oracle = spherecaps.ode_oracle(args.n, eps, args.oracle_grid)
-                cells += [(args.n, "oracle", 0, sig) for sig in oracle]
+            modes = spherecaps.mode_pair(args.n, eps)
+        cells = [(mode.n, mode.parity, mode.multiplicity, mode.value) for mode in modes]
+        if args.oracle_grid is not None:
+            oracle = spherecaps.ode_oracle(args.n, eps, args.oracle_grid)
+            cells += [(args.n, "oracle", 0, sig) for sig in oracle]
         rows += [tables.mode_row(eps, "", "", *cell) for cell in cells]
-    _emit(rows, args, tables.MODE_COLUMNS)
+    _emit(rows, args, table=True)
     return 0
 
 
@@ -272,7 +245,7 @@ def _cmd_fem(args) -> int:
         )
         family = "Steklov"
     rows = [tables.mode_row(eps_col, "", "", "", family, "", sig) for sig in values]
-    _emit(rows, args, tables.MODE_COLUMNS)
+    _emit(rows, args, table=True)
     return 0
 
 
@@ -301,11 +274,8 @@ def _cmd_bounds(args) -> int:
         obj["checks"] = checks
         _emit(obj, args)
         return 0
-    if args.format == "csv":
-        rows = [dataclasses.asdict(report)]
-        _emit(rows, args, BOUND_COLUMNS)
-    else:
-        _emit(report.to_json(), args)
+    csv = args.format == "csv"
+    _emit([dataclasses.asdict(report)] if csv else report.to_json(), args, table=csv)
     return 0
 
 
@@ -344,6 +314,12 @@ def _cmd_verify_all(args) -> int:
 # parser
 
 
+def _add_sweep_flags(sub, eps_help: str = "decreasing, each below delta") -> None:
+    sub.add_argument("--scenario", required=True, help="scenario JSON path")
+    sub.add_argument("--eps", type=float, nargs="+", required=True, help=eps_help)
+    sub.add_argument("--delta", type=float, default=None)
+
+
 def _add_output_flags(sub) -> None:
     sub.add_argument("--out", help="output file (default stdout)")
     sub.add_argument(
@@ -359,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "model-spectrum", help="merged model spectrum of a scenario"
     )
-    sub.add_argument("--scenario", required=True, help="scenario JSON path")
-    sub.add_argument("--eps", type=float, nargs="+", required=True)
-    sub.add_argument("--delta", type=float, default=None)
+    _add_sweep_flags(sub)
     sub.add_argument("--count", type=int, default=12)
     sub.add_argument("--kmax", type=int, default=None)
     sub.add_argument("--qmax", type=int, default=None)
@@ -375,19 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_model_spectrum)
 
     sub = subs.add_parser("bracket", help="SN/SD bracketing pairs per ell")
-    sub.add_argument("--scenario", required=True)
-    sub.add_argument("--eps", type=float, nargs="+", required=True)
-    sub.add_argument("--delta", type=float, default=None)
+    _add_sweep_flags(sub)
     sub.add_argument("--ell-max", type=int, default=8)
     _add_output_flags(sub)
     sub.set_defaults(func=_cmd_bracket)
 
     sub = subs.add_parser("rates", help="fitted limits vs predicted")
-    sub.add_argument("--scenario", required=True)
-    sub.add_argument(
-        "--eps", type=float, nargs="+", required=True, help="at least 3, decreasing"
-    )
-    sub.add_argument("--delta", type=float, default=None)
+    _add_sweep_flags(sub, eps_help="at least 3, decreasing, each below delta")
     sub.add_argument("--qmax", type=int, default=2)
     _add_output_flags(sub)
     sub.set_defaults(func=_cmd_rates)

@@ -86,9 +86,7 @@ def truncated_spectrum(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if family_kind not in ("SN", "SD"):
-        raise ValueError(f"family_kind must be 'SN' or 'SD', got {family_kind!r}")
-    outer = "Dirichlet" if family_kind == "SD" else "Neumann"
+    outer = radial.outer_condition(family_kind)
     drop = family_kind == "SN" and not include_zero_modes
     streams = [family(scenario, j, eps, delta, outer) for j in range(scenario.b)]
     out: list[ModeEigenvalue] = []
@@ -276,9 +274,8 @@ def scaled_sigma(
     scenario: ExcisionScenario, case: RateCase, eps: float, delta: float
 ) -> float:
     """The case's eigenvalue at eps, in the case's normalization."""
-    outer = "Dirichlet" if case.family == "SD" else "Neumann"
-    d = scenario.sphere_dim(case.j)
-    mode = radial.RadialMode(d, case.q, case.lam)
+    outer = radial.outer_condition(case.family)
+    mode = radial.RadialMode(scenario.sphere_dim(case.j), case.q, case.lam)
     sig = radial.sigma_mixed(mode, eps, delta, outer)
     if case.normalization == "inverse_eps":
         return eps * sig

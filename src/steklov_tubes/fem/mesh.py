@@ -288,20 +288,14 @@ class Mesh:
 # shared helpers
 
 
-def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    flip = _signed_areas(vertices, triangles) < 0
-    out = triangles.copy()
-    out[flip] = out[flip][:, [0, 2, 1]]
-    return out
-
-
 def _stitch(inner: np.ndarray, inner_ang: np.ndarray, outer: np.ndarray,
             outer_ang: np.ndarray) -> np.ndarray:
     """Triangle strip between two concentric vertex rings, merged by angle.
 
     Each step advances the ring whose next vertex comes first
     counterclockwise, the inner ring on ties: the steps follow a stable
-    sort of both rings' next angles, inner first.
+    sort of both rings' next angles, inner first.  Every triangle (inner,
+    outer, next) comes out counterclockwise.
     """
     n_in, n_out = len(inner), len(outer)
     nxt = np.concatenate([inner_ang[1:], inner_ang[:1] + 2.0 * math.pi,
@@ -363,7 +357,7 @@ def _mesh_disk(radius: float, h: float) -> Mesh:
     strips = [
         _stitch(rings[i], angs[i], rings[i + 1], angs[i + 1]) for i in range(n_r - 1)
     ]
-    triangles = _orient_ccw(vertices, np.concatenate([fan, *strips]))
+    triangles = np.concatenate([fan, *strips])
     outer = rings[-1]
     be = np.column_stack([outer, np.roll(outer, -1)]).astype(np.int64)
     mesh = Mesh(vertices, triangles, be, np.ones(len(be), dtype=np.int64))
@@ -579,7 +573,7 @@ def mesh_torus_minus_disks(
     # one Delaunay call on the background: the square's points (added
     # first), each collar's outermost ring and the hex points; a triangle
     # whose corners all lie on one outermost ring is inside that collar,
-    # which the strips fill
+    # which the strips fill; 2-D Delaunay simplices are counterclockwise
     pts = np.concatenate(points)
     bg = np.concatenate([np.arange(right[-1] + 1), *outer, hex_idx])
     label = np.full(len(pts), -1)
@@ -594,7 +588,7 @@ def mesh_torus_minus_disks(
     be = np.stack([rings, np.roll(rings, -1, axis=1)], axis=-1).reshape(-1, 2)
     mesh = Mesh(
         pts + off,
-        _orient_ccw(pts, np.concatenate([simp, *strips]).astype(np.int64)),
+        np.concatenate([simp, *strips]).astype(np.int64),
         be,
         np.repeat(np.arange(b, dtype=np.int64), n_b),
         np.array(pairs, dtype=np.int64).reshape(-1, 2),

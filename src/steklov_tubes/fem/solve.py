@@ -268,8 +268,12 @@ def _boundary_eigs(K, d: np.ndarray, count: int, tau: float, return_modes: bool 
     n_s = len(s)
     W = sparse.csc_matrix((np.sqrt(d[s]), s, np.arange(n_s + 1)), shape=(K.shape[0], n_s))
     Wt = W.T
+    # A = K + tau diag(d) on K's own pattern: a sparse sum drops K's exact
+    # zeros, and the structure SuperLU orders would follow rounding
+    A = K.tocsc(copy=True)
+    A.setdiag(A.diagonal() + tau * d)
     with _numerical_errors():
-        lu = _factor(K + tau * sparse.diags(d))
+        lu = _factor(A)
         mu, y = _block_lanczos(lambda Y: Wt @ lu.solve(W @ Y), n_s, count)
         vals, order = _lam(mu, tau)
         if not return_modes:

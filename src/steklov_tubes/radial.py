@@ -46,7 +46,16 @@ from dataclasses import dataclass
 from .errors import NumericalError
 from .harmonics import ModeEigenvalue, sphere_multiplicity
 
-OUTER_CONDITIONS = ("Dirichlet", "Neumann")
+# the model family of each condition at the outer radius delta
+FAMILY_OUTER = {"SD": "Dirichlet", "SN": "Neumann"}
+OUTER_CONDITIONS = tuple(FAMILY_OUTER.values())
+
+
+def outer_condition(family: str) -> str:
+    """The condition at delta of model family "SD" or "SN"."""
+    if family not in FAMILY_OUTER:
+        raise ValueError(f"family must be 'SN' or 'SD', got {family!r}")
+    return FAMILY_OUTER[family]
 
 
 @dataclass(frozen=True)
@@ -284,7 +293,8 @@ def mixed_spectrum(
     frontier ever reach the kernel.
     """
     _check_radii(eps, delta)
-    family = "SD" if outer == "Dirichlet" else "SN"
+    # an unknown outer gets no family; sigma_mixed refuses it on the first push
+    family = {o: f for f, o in FAMILY_OUTER.items()}.get(outer)
     heap: list[tuple[float, int, int, float, int]] = []
 
     def push(k: int, q: int, lam: float, mult_k: int) -> None:

@@ -116,6 +116,19 @@ class CapMode:
     multiplicity: int
 
 
+def mode_pair(n: int, eps: float) -> tuple[CapMode, CapMode]:
+    """The even and the odd mode of Fourier number n.
+
+    n = 0 gives 0 and sigma_zero, each of multiplicity 1; n >= 1 gives
+    sigma_n^- and sigma_n^+, each of multiplicity 2.  sigma_zero and
+    sigma_pm check eps and n.
+    """
+    if n == 0:
+        return CapMode(0.0, 0, "even", 1), CapMode(sigma_zero(eps), 0, "odd", 1)
+    lo, hi = sigma_pm(n, eps)
+    return CapMode(lo, n, "even", 2), CapMode(hi, n, "odd", 2)
+
+
 def full_spectrum(eps: float, count: int) -> list[CapMode]:
     """First eigenvalues of the band, grouped by mode, ascending.
 
@@ -123,22 +136,21 @@ def full_spectrum(eps: float, count: int) -> list[CapMode]:
     a = log cot(eps/2), sin(eps) sigma_n^- = n tanh(n a) and
     sin(eps) sigma_n^+ = n coth(n a) both increase with n (the odd branch
     from sigma_zero, its n -> 0 limit), so merging the even and the odd
-    stream by (value, n, parity) lists the modes in order.  A list that
-    needs more than a mode at n = N_MAX raises CompletenessError.
+    members of mode_pair by (value, n, parity) lists the modes in order.
+    A list that needs more than a mode at n = N_MAX raises
+    CompletenessError.
     """
     _check_eps(eps)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
 
-    def branch(parity: str, sigma_0: float, side: int):
-        yield CapMode(sigma_0, 0, parity, 1)
-        for n in range(1, N_MAX + 1):
-            yield CapMode(sigma_pm(n, eps)[side], n, parity, 2)
+    def branch(side: int):
+        for n in range(N_MAX + 1):
+            yield mode_pair(n, eps)[side]
 
     out = []
     cum = 0
-    streams = (branch("even", 0.0, 0), branch("odd", sigma_zero(eps), 1))
-    for m in heapq.merge(*streams, key=lambda m: (m.value, m.n, m.parity)):
+    for m in heapq.merge(branch(0), branch(1), key=lambda m: (m.value, m.n, m.parity)):
         out.append(m)
         cum += m.multiplicity
         if cum >= count:

@@ -2,9 +2,9 @@
 
 Floats are written with repr(), the shortest round-trip form, so output
 files are byte-stable across runs of the same inputs; numpy floats are
-written as the plain floats they equal.  mode_row() builds every
-MODE_COLUMNS row, whether the sigma comes from a model mode, a sphere-cap
-closed form or a FEM solve.
+written as the plain floats they equal.  mode_row() builds every mode
+table row, whether the sigma comes from a model mode, a sphere-cap
+closed form or a FEM solve; its key order is the CSV header.
 """
 
 from __future__ import annotations
@@ -15,21 +15,9 @@ import math
 
 from .harmonics import ModeEigenvalue
 
-MODE_COLUMNS = (
-    "eps",
-    "j",
-    "k",
-    "q",
-    "family",
-    "multiplicity",
-    "sigma",
-    "eps_sigma",
-    "eps_logeps_sigma",
-)
-
 
 def mode_row(eps, j, k, q, family, multiplicity, sigma) -> dict:
-    """One MODE_COLUMNS row; eps "" (a planar FEM domain) blanks the scaled cells."""
+    """One mode table row; eps "" (a planar FEM domain) blanks the scaled cells."""
     scaled = eps != ""
     return {
         "eps": eps,

@@ -6,9 +6,12 @@ The same suite is reachable from the command line as
 `steklov-tubes verify-all`.
 """
 
+import json
+
 import pytest
 
 from steklov_tubes import acceptance
+from steklov_tubes.cli import main
 from steklov_tubes.fem import solve
 
 
@@ -72,6 +75,33 @@ def test_criterion_10_small_sn_seeds(seed):
     # cancelled to a scaling-law residual of 1.5e-10 .. 1.7e-9
     res = acceptance.run(indices=[10], seed=seed)[0]
     assert res.passed, res.checks
+
+
+def test_failing_check_fails_its_criterion(monkeypatch, capsys, tmp_path):
+    def stub(cache, seed):
+        yield True, "stub holds"
+        yield False, "stub fails"
+
+    criteria = (*acceptance._CRITERIA, ("stub", stub))
+    monkeypatch.setattr(acceptance, "_CRITERIA", criteria)
+    index = len(criteria)
+    (res,) = acceptance.run([index])
+    assert not res.passed
+    assert res.checks == ("ok: stub holds", "FAIL: stub fails")
+    # the command exits 3, prints the failing line and still writes --out
+    out_path = tmp_path / "summary.json"
+    assert main(["verify-all", "--criteria", str(index), "--out", str(out_path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"criterion {index} FAIL  stub")
+    assert lines[1:] == ["  FAIL: stub fails"]
+    assert json.loads(out_path.read_text()) == [
+        {
+            "index": index,
+            "name": "stub",
+            "passed": False,
+            "checks": ["ok: stub holds", "FAIL: stub fails"],
+        }
+    ]
 
 
 def _record_factors(monkeypatch):

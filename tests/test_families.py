@@ -1,5 +1,6 @@
 """Merged mode families, bracketing, and rate extrapolation."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -75,6 +76,10 @@ def test_truncated_spectrum_errors():
         truncated_spectrum(torus_points(), 0.03, 0.12, 0)
     with pytest.raises(ValueError):
         truncated_spectrum(torus_points(), 0.03, 0.12, 3, family_kind="XX")
+    # scaled_sigma reads the same family table, and refuses what it lacks
+    case = dataclasses.replace(rate_cases(torus_points())[0], family="XX")
+    with pytest.raises(ValueError, match="'XX'"):
+        scaled_sigma(torus_points(), case, 0.03, 0.12)
     # an explicit window too small to certify must refuse, not truncate
     with pytest.raises(CompletenessError):
         truncated_spectrum(circle_scenario(), 0.1, 0.5, 40, k_max=1, q_max=1)

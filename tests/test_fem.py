@@ -298,8 +298,23 @@ def test_pencil_failures_are_numerical(monkeypatch, capsys):
 def _count_factors(monkeypatch):
     factored = []
     real = solve._factor
-    monkeypatch.setattr(solve, "_factor", lambda A: factored.append(A.shape) or real(A))
+    monkeypatch.setattr(solve, "_factor", lambda A: factored.append(A) or real(A))
     return factored
+
+
+def test_steklov_shift_keeps_the_stiffness_pattern(monkeypatch):
+    # on the two-triangle unit square the diagonal's cotangent weight is
+    # exactly 0: K stores 14 entries, two of them 0.0, and the matrix
+    # SuperLU factors keeps all 14, so its ordering never follows rounding
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    be = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+    mesh = Mesh(verts, tris, be, np.zeros(4, dtype=np.int64))
+    K = assemble(mesh)[0]
+    assert K.nnz == 14 and np.count_nonzero(K.data == 0.0) == 2
+    factored = _count_factors(monkeypatch)
+    assert steklov_spectrum(mesh, 3) == pytest.approx([0.0, 1.0, 1.0], abs=1e-12)
+    assert [A.nnz for A in factored] == [14]
 
 
 def test_spectra_solved_once_per_mesh(annulus_mesh, monkeypatch):

@@ -5,6 +5,7 @@ sigma_0 = 1/(sin eps log cot(eps/2)) and
 sigma_n^-+ = n (1 -+ T)/(sin eps (1 +- T)), T = tan^{2n}(eps/2).
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from steklov_tubes.spherecaps import (
     CapMode,
     determinant_residual,
     full_spectrum,
+    mode_pair,
     ode_oracle,
     sigma_pm,
     sigma_zero,
@@ -76,6 +78,32 @@ def test_full_spectrum_ordering():
     values10 = [m.value for m in full_spectrum(0.3, 10)]
     lo, hi = sigma_pm(2, 0.3)
     assert lo in values10 and hi in values10
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.3, 1.5])
+def test_mode_pair(eps):
+    # n = 0: the constant and the log mode, once each
+    assert mode_pair(0, eps) == (
+        CapMode(0.0, 0, "even", 1),
+        CapMode(sigma_zero(eps), 0, "odd", 1),
+    )
+    # n >= 1: sigma_n^- even and sigma_n^+ odd, each a Fourier pair
+    for n in (1, N_MAX):
+        lo, hi = sigma_pm(n, eps)
+        want = (CapMode(lo, n, "even", 2), CapMode(hi, n, "odd", 2))
+        assert mode_pair(n, eps) == want
+    with pytest.raises(ValueError):
+        mode_pair(N_MAX + 1, eps)
+
+
+@pytest.mark.parametrize("count", [1, 8, 99])
+def test_full_spectrum_merges_mode_pairs(count):
+    for eps in (0.01, 0.3, 1.5):
+        members = (m for n in range(N_MAX + 1) for m in mode_pair(n, eps))
+        merged = sorted(members, key=lambda m: (m.value, m.n, m.parity))
+        cum = itertools.accumulate(m.multiplicity for m in merged)
+        size = next(i for i, c in enumerate(cum, 1) if c >= count)
+        assert full_spectrum(eps, count) == merged[:size]
 
 
 def test_full_spectrum_mode_cap():

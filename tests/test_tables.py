@@ -7,12 +7,12 @@ import math
 import numpy as np
 
 from steklov_tubes.harmonics import ModeEigenvalue
-from steklov_tubes.tables import (
-    MODE_COLUMNS,
-    mode_row,
-    mode_rows,
-    write_csv,
-    write_json,
+from steklov_tubes.tables import mode_row, mode_rows, write_csv, write_json
+
+# the header of every mode table: the key order of mode_row
+MODE_HEADER = (
+    "eps", "j", "k", "q", "family", "multiplicity",
+    "sigma", "eps_sigma", "eps_logeps_sigma",
 )
 
 
@@ -24,7 +24,7 @@ def test_mode_rows():
     ]
     rows = mode_rows(eps, modes)
     assert len(rows) == 2
-    assert tuple(rows[0]) == MODE_COLUMNS
+    assert tuple(rows[0]) == MODE_HEADER
     assert rows[0]["sigma"] == 0.0
     assert rows[0]["family"] == "SN"
     assert rows[1]["eps_sigma"] == eps * 120.5
@@ -32,7 +32,7 @@ def test_mode_rows():
     assert rows[1]["multiplicity"] == 4
     # eps "" marks a planar FEM domain: no scaled cells
     row = mode_row("", "", "", "", "Steklov", "", 2.5)
-    assert tuple(row) == MODE_COLUMNS
+    assert tuple(row) == MODE_HEADER
     assert row["sigma"] == 2.5
     assert row["eps_sigma"] == "" and row["eps_logeps_sigma"] == ""
 
