@@ -16,12 +16,13 @@ Each criterion exercises one quantitative claim end to end:
 run() executes a subset and returns one CriterionResult per criterion;
 meshes are built once in a SuiteCache and shared, and each mesh solves
 its spectra once.  Each criterion yields one (ok, message) pair per
-assertion; run() writes them as "ok: " and "FAIL: " lines, and one
-false ok fails the criterion.  Everything random is seeded.
+assertion; run() writes them as "ok: " and "FAIL: " lines, and any FAIL
+line, kept in failures, fails the criterion.  Everything random is seeded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections.abc import Iterator
@@ -83,35 +84,28 @@ def sphere_scenario() -> ExcisionScenario:
 class CriterionResult:
     index: int
     name: str
-    passed: bool
     checks: tuple[str, ...]
+    failures: tuple[str, ...]
     elapsed: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def header(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"criterion {self.index:2d} {status}  {self.name}  [{self.elapsed:.1f}s]"
 
 
 class SuiteCache:
     """Memoizes the meshes shared between criteria; each mesh memoizes its spectra."""
 
     def __init__(self):
-        self._store: dict = {}
-
-    def _get(self, key, build):
-        if key not in self._store:
-            self._store[key] = build()
-        return self._store[key]
-
-    def torus_mesh(self, eps: float, h: float):
-        return self._get(
-            ("torus", eps, h),
-            lambda: mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, h),
+        self.torus_mesh = functools.cache(
+            lambda eps, h: mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, h)
         )
-
-    def annulus_mesh(self, h: float):
-        return self._get(
-            ("annulus", h), lambda: mesh_planar(Annulus(0.5, 1.0), h)
-        )
-
-    def disk_mesh(self, h: float):
-        return self._get(("disk", h), lambda: mesh_planar(Disk(1.0), h))
+        self.annulus_mesh = functools.cache(lambda h: mesh_planar(Annulus(0.5, 1.0), h))
+        self.disk_mesh = functools.cache(lambda h: mesh_planar(Disk(1.0), h))
 
 
 # ---------------------------------------------------------------------------
@@ -350,32 +344,26 @@ def _annulus_reference(count: int) -> list[float]:
     vals: list[float] = []
     for q in range(count + 2):
         pair = sigma_annulus_pair(RadialMode(1, q, 0.0), 0.5, 1.0)
-        mult = 1 if q == 0 else 2
-        vals.extend([pair[0]] * mult)
-        vals.extend([pair[1]] * mult)
+        vals += pair * (1 if q == 0 else 2)
     return sorted(vals)[:count]
 
 
 def _criterion_9(cache: SuiteCache, seed: int) -> Iterator[tuple[bool, str]]:
-    fem_vals = steklov_spectrum(cache.annulus_mesh(0.005), 8)
-    exact = _annulus_reference(8)
-    for i, (got, want) in enumerate(zip(fem_vals, exact)):
-        if want == 0.0:
-            yield abs(got) <= 1e-8, f"annulus sigma_{i}: {got:.2e} vs 0"
-        else:
-            rel = abs(got - want) / want
-            yield (
-                rel <= 0.01,
-                f"annulus sigma_{i}: {got:.6f} vs {want:.6f} (rel {rel:.2e})",
-            )
-    fem_vals = steklov_spectrum(cache.disk_mesh(0.02), 8)
-    disk_exact = [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0]
-    for i, (got, want) in enumerate(zip(fem_vals, disk_exact)):
-        if want == 0.0:
-            yield abs(got) <= 1e-8, f"disk sigma_{i}: {got:.2e} vs 0"
-        else:
-            rel = abs(got - want) / want
-            yield rel <= 0.01, f"disk sigma_{i}: {got:.6f} vs {want} (rel {rel:.2e})"
+    disk_exact = (0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0)
+    cases = (
+        ("annulus", lambda: cache.annulus_mesh(0.005), _annulus_reference(8), ".6f"),
+        ("disk", lambda: cache.disk_mesh(0.02), disk_exact, ""),
+    )
+    for name, mesh, exact, spec in cases:
+        for i, (got, want) in enumerate(zip(steklov_spectrum(mesh(), 8), exact)):
+            if want == 0.0:
+                yield abs(got) <= 1e-8, f"{name} sigma_{i}: {got:.2e} vs 0"
+            else:
+                rel = abs(got - want) / want
+                yield (
+                    rel <= 0.01,
+                    f"{name} sigma_{i}: {got:.6f} vs {want:{spec}} (rel {rel:.2e})",
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +440,9 @@ def run(
     for i in indices:
         name, fn = _CRITERIA[i - 1]
         start = time.perf_counter()
-        checks = list(fn(cache, seed))
+        verdicts = list(fn(cache, seed))
         elapsed = time.perf_counter() - start
-        lines = tuple(("ok: " if ok else "FAIL: ") + msg for ok, msg in checks)
-        passed = all(ok for ok, _ in checks)
-        results.append(CriterionResult(i, name, passed, lines, elapsed))
+        lines = tuple(("ok: " if ok else "FAIL: ") + msg for ok, msg in verdicts)
+        failures = tuple(line for line, (ok, _) in zip(lines, verdicts) if not ok)
+        results.append(CriterionResult(i, name, lines, failures, elapsed))
     return results

@@ -88,8 +88,6 @@ class LowerBoundCheck:
     holds: bool
     sigma1: float
     threshold: float
-    constant_C: float
-    exponent: float
     eps: float
 
 
@@ -108,8 +106,6 @@ def lower_bound_check(
         holds=sigma1 >= (1.0 - slack) * threshold,
         sigma1=sigma1,
         threshold=threshold,
-        constant_C=report.constant_C,
-        exponent=report.exponent,
         eps=eps,
     )
 

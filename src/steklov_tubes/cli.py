@@ -259,19 +259,13 @@ def _cmd_bounds(args) -> int:
             )
         if len(args.eps or []) != len(args.sigma1 or []):
             raise ConfigurationError("--eps and --sigma1 must pair up")
-        checks = []
-        for eps, sigma1 in zip(args.eps, args.sigma1):
-            res = bounds_mod.lower_bound_check(scenario, eps, sigma1, slack=args.slack)
-            checks.append(
-                {
-                    "eps": eps,
-                    "sigma1": sigma1,
-                    "threshold": res.threshold,
-                    "holds": res.holds,
-                }
-            )
         obj = report.to_json()
-        obj["checks"] = checks
+        obj["checks"] = [
+            dataclasses.asdict(
+                bounds_mod.lower_bound_check(scenario, eps, sigma1, slack=args.slack)
+            )
+            for eps, sigma1 in zip(args.eps, args.sigma1)
+        ]
         _emit(obj, args)
         return 0
     csv = args.format == "csv"
@@ -290,23 +284,13 @@ def _cmd_verify_all(args) -> int:
             raise ConfigurationError(f"bad --criteria list: {exc}") from exc
     results = acceptance.run(indices=indices, seed=args.seed)
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"criterion {res.index:2d} {status}  {res.name}  [{res.elapsed:.1f}s]")
-        if not res.passed:
-            for line in res.checks:
-                if line.startswith("FAIL"):
-                    print(f"  {line}")
+        print(res.header())
+        for line in res.failures:
+            print(f"  {line}")
     if args.out is not None:
-        summary = [
-            {
-                "index": res.index,
-                "name": res.name,
-                "passed": res.passed,
-                "checks": list(res.checks),
-            }
-            for res in results
-        ]
-        _emit(summary, args)
+        # no elapsed times, so the summary is byte-stable
+        fields = ("index", "name", "passed", "checks")
+        _emit([{f: getattr(res, f) for f in fields} for res in results], args)
     return 0 if all(res.passed for res in results) else 3
 
 
@@ -428,20 +412,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             _check_out(args.out)
         return args.func(args)
-    except (ConfigurationError, ValueError, OSError) as exc:
-        json.dump(
-            {"error": "configuration", "message": str(exc)},
-            sys.stderr,
-            sort_keys=True,
-        )
+    except (ConfigurationError, ValueError, OSError, NumericalError) as exc:
+        numerical = isinstance(exc, NumericalError)
+        kind, code = ("numerical", 2) if numerical else ("configuration", 1)
+        json.dump({"error": kind, "message": str(exc)}, sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
-        return 1
-    except NumericalError as exc:
-        json.dump(
-            {"error": "numerical", "message": str(exc)}, sys.stderr, sort_keys=True
-        )
-        sys.stderr.write("\n")
-        return 2
+        return code
 
 
 if __name__ == "__main__":

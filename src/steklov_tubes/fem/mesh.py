@@ -53,21 +53,22 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
 
 
-def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Undirected edges of a triangle array: (unique pairs, inverse, counts).
+def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected edges of a triangle array: (unique pairs, inverse).
 
     The 3*nt directed edges are the 0-1 sides of every triangle, then the
-    1-2 sides, then the 2-0 sides; inverse maps each to its row of the
-    unique (a <= b) pairs, which come out in lexicographic order.  The
-    sort key a*n + b is int64 so it cannot wrap for large meshes.
+    1-2 sides, then the 2-0 sides; inverse (int32 when 3*nt < 2**31) maps
+    each to its row of the unique (a <= b) pairs, in lexicographic order.
+    The sort key a*n + b is int64 so it cannot wrap for large meshes.
     """
     corners = tri.T.astype(np.int64, order="C")
     start, end = corners.ravel(), corners[[1, 2, 0]].ravel()
     n = tri.max(initial=0) + 1
     keys = np.minimum(start, end) * n
     keys += np.maximum(start, end)
-    keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return np.column_stack(np.divmod(keys, n)), inverse, counts
+    keys, inverse = np.unique(keys, return_inverse=True)
+    index = np.int32 if len(inverse) < 2**31 else np.int64
+    return np.column_stack(np.divmod(keys, n)), inverse.astype(index)
 
 
 # A generator refuses a mesh estimated above MAX_VERTICES before it
@@ -183,7 +184,7 @@ class Mesh:
 
         return self.cached("dof_map", build)
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """_edge_table of the triangles in dof space (cached, read-only).
 
         A triangle with two corners on one dof would give a self-edge
@@ -222,7 +223,8 @@ class Mesh:
         if np.any(self.areas() <= 0):
             raise NumericalError("mesh has non-CCW or degenerate triangles")
         dof, _ = self.dof_map()
-        uniq, _, counts = self.edges()
+        uniq, inverse = self.edges()
+        counts = np.bincount(inverse, minlength=len(uniq))
         if np.any(counts > 2):
             raise NumericalError("mesh edge shared by more than two triangles")
         free = uniq[counts == 1]

@@ -117,7 +117,7 @@ def _pattern(edges: np.ndarray, ndof: int):
 
 def _assemble(mesh: Mesh):
     dof, ndof = mesh.dof_map()
-    edges, inverse, _ = mesh.edges()
+    edges, inverse = mesh.edges()
     area = mesh.areas()
     if np.any(area <= 0):
         raise NumericalError("assembly requires CCW triangles with positive area")

@@ -34,8 +34,10 @@ the boundary layer and miss the target accuracy by orders of magnitude.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CompletenessError
 
@@ -144,13 +146,12 @@ def full_spectrum(eps: float, count: int) -> list[CapMode]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
 
-    def branch(side: int):
-        for n in range(N_MAX + 1):
-            yield mode_pair(n, eps)[side]
-
+    # one mode_pair per n, read by both the even and the odd stream
+    even, odd = itertools.tee(mode_pair(n, eps) for n in range(N_MAX + 1))
+    streams = map(itemgetter(0), even), map(itemgetter(1), odd)
     out = []
     cum = 0
-    for m in heapq.merge(branch(0), branch(1), key=lambda m: (m.value, m.n, m.parity)):
+    for m in heapq.merge(*streams, key=lambda m: (m.value, m.n, m.parity)):
         out.append(m)
         cum += m.multiplicity
         if cum >= count:

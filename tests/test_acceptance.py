@@ -7,6 +7,7 @@ The same suite is reachable from the command line as
 """
 
 import json
+import re
 
 import pytest
 
@@ -20,53 +21,17 @@ def cache():
     return acceptance.SuiteCache()
 
 
-def _run(index, cache):
+@pytest.mark.parametrize(
+    "index",
+    range(1, len(acceptance._CRITERIA) + 1),
+    ids=lambda i: f"criterion_{i:02d}",
+)
+def test_criterion(index, cache):
     res = acceptance.run(indices=[index], seed=0, cache=cache)[0]
-    status = "PASS" if res.passed else "FAIL"
-    print(f"criterion {res.index:2d} {status}  {res.name}  [{res.elapsed:.1f}s]")
+    print(res.header())
     for line in res.checks:
         print(f"  {line}")
     assert res.passed, f"criterion {res.index} failed: {res.name}"
-
-
-def test_criterion_01_radial_model_limits(cache):
-    _run(1, cache)
-
-
-def test_criterion_02_sphere_caps_vs_oracle(cache):
-    _run(2, cache)
-
-
-def test_criterion_03_torus_bracketing(cache):
-    _run(3, cache)
-
-
-def test_criterion_04_scaled_sigma2_trend(cache):
-    _run(4, cache)
-
-
-def test_criterion_05_upper_bound_proxy(cache):
-    _run(5, cache)
-
-
-def test_criterion_06_lower_bound_thresholds(cache):
-    _run(6, cache)
-
-
-def test_criterion_07_torus_neumann_gap(cache):
-    _run(7, cache)
-
-
-def test_criterion_08_energy_inequalities(cache):
-    _run(8, cache)
-
-
-def test_criterion_09_fem_vs_closed_forms(cache):
-    _run(9, cache)
-
-
-def test_criterion_10_kernels_and_scaling(cache):
-    _run(10, cache)
 
 
 @pytest.mark.parametrize("seed", [4, 5, 9])
@@ -88,12 +53,17 @@ def test_failing_check_fails_its_criterion(monkeypatch, capsys, tmp_path):
     (res,) = acceptance.run([index])
     assert not res.passed
     assert res.checks == ("ok: stub holds", "FAIL: stub fails")
-    # the command exits 3, prints the failing line and still writes --out
+    assert res.failures == ("FAIL: stub fails",)
+    header = rf"criterion {index} FAIL  stub  \[\d+\.\ds\]"
+    assert re.fullmatch(header, res.header())
+    # the command exits 3, prints the header and the failing line only,
+    # and still writes --out
     out_path = tmp_path / "summary.json"
     assert main(["verify-all", "--criteria", str(index), "--out", str(out_path)]) == 3
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith(f"criterion {index} FAIL  stub")
-    assert lines[1:] == ["  FAIL: stub fails"]
+    assert len(lines) == 2
+    assert re.fullmatch(header, lines[0])
+    assert lines[1] == "  FAIL: stub fails"
     assert json.loads(out_path.read_text()) == [
         {
             "index": index,

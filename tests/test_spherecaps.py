@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from steklov_tubes import spherecaps
 from steklov_tubes.errors import CompletenessError
 from steklov_tubes.spherecaps import (
     N_MAX,
@@ -104,6 +105,17 @@ def test_full_spectrum_merges_mode_pairs(count):
         cum = itertools.accumulate(m.multiplicity for m in merged)
         size = next(i for i, c in enumerate(cum, 1) if c >= count)
         assert full_spectrum(eps, count) == merged[:size]
+
+
+def test_full_spectrum_computes_each_pair_once(monkeypatch):
+    # the even and the odd stream share one sigma_pm call per Fourier number
+    calls = []
+    monkeypatch.setattr(
+        spherecaps, "sigma_pm", lambda n, eps: calls.append(n) or sigma_pm(n, eps)
+    )
+    full_spectrum(0.1, 199)
+    assert len(calls) == 50
+    assert sorted(calls) == list(range(1, N_MAX + 1))
 
 
 def test_full_spectrum_mode_cap():
