@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-grid",
         type=int,
         default=None,
-        help="with --n, add finite-difference oracle rows at this grid size (>= 100)",
+        help="with --n, add finite-difference oracle rows at this grid size (100 to 10**6)",
     )
     _add_output_flags(sub)
     sub.set_defaults(func=_cmd_sphere_caps)

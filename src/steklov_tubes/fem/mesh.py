@@ -8,7 +8,7 @@ Three generators:
   * mesh_planar(Annulus(r_in, r_out), h): structured polar grid of
     rings with n_t equally spaced vertices each, vertex i*n_t + k on ring
     i at angle 2 pi k / n_t.  Turning by one ray maps it onto itself; it
-    says so through Mesh.rays = n_t, so that fem.solve can split its
+    says so through Mesh.blocks, so that fem.solve can split its
     Steklov pencil into n_t Fourier sectors.
   * mesh_torus_minus_disks(side, centers, eps, h): fundamental square of
     a flat torus with circular holes.  Hole boundaries are exact
@@ -20,7 +20,8 @@ Three generators:
     call triangulates the background (the square's points, the hex
     points and each collar's outermost ring), and nothing is smoothed; a
     triangle whose corners all lie on one outermost ring is inside that
-    collar and dropped.
+    collar and dropped.  Turning by one polygon step maps each collar
+    onto itself, and the mesh declares each collar as a block.
 
 Every generator lists the boundary rings it placed, the torus its hole
 polygons (hole j carries marker j wherever its center lies).  The torus
@@ -102,6 +103,12 @@ def _check_size(estimate, *args) -> None:
 # like powers of eps/r and are meshed self-similarly.
 _COLLAR_BAND = 0.5
 
+# A collar is a block only where h >= _TURN_SPACINGS * spacing(X), X its
+# largest coordinate.  Rounding moves the stiffness twins fem.solve compares
+# by up to about 1.7 spacing(X)/h of max|K| (measured on random layouts), at
+# most about 0.4 of its 1e-12 max|K| there.  A finer collar is solved whole.
+_TURN_SPACINGS = 2.0**42
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -126,12 +133,13 @@ class Mesh:
     check and solve on one mesh object shares them; dataclasses.replace
     gives a new mesh with a fresh cache.
 
-    rays > 0 declares the ray-periodic layout of the annulus generator:
-    vertex i*rays + k on ring i, and turning by one ray (k -> k + 1 mod
-    rays) maps the mesh onto itself.  fem.solve checks the declaration
-    against the assembled stiffness before it relies on it.  save does
-    not write it, so a loaded mesh has rays = 0 and takes the general
-    solver.
+    blocks declares ray-periodic parts: a block is a (cells x slots) grid
+    of vertex indices, and turning by one cell maps row c onto row c + 1.
+    The annulus's one block covers the mesh (cell k is ray k, slot i ring
+    i); on the torus, cell c of a collar holds polygon vertex c (slot 0)
+    and vertices 2c and 2c + 1 of each later ring.  fem.solve checks a
+    declaration against the assembled stiffness before it relies on it.
+    save does not write it, so a loaded mesh takes the general solver.
     """
 
     vertices: np.ndarray          # (nv, 2)
@@ -141,15 +149,15 @@ class Mesh:
     periodic_pairs: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 2), dtype=np.int64)
     )
-    rays: int = 0
+    blocks: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name == "rays":
-                continue
-            arr = np.array(getattr(self, f.name))
-            arr.flags.writeable = False
-            object.__setattr__(self, f.name, arr)
+            value = getattr(self, f.name)
+            arrays = [np.array(v) for v in value] if f.name == "blocks" else [np.array(value)]
+            for arr in arrays:
+                arr.flags.writeable = False
+            object.__setattr__(self, f.name, tuple(arrays) if f.name == "blocks" else arrays[0])
         object.__setattr__(self, "_cache", {})
 
     def cached(self, key, build):
@@ -389,7 +397,8 @@ def _mesh_annulus(r_in: float, r_out: float, h: float) -> Mesh:
     ring = np.column_stack([a[:n_t], d[:n_t]])
     be = np.concatenate([ring, ring + n_r * n_t])
     mesh = Mesh(
-        vertices, triangles, be, np.repeat(np.arange(2, dtype=np.int64), n_t), rays=n_t
+        vertices, triangles, be, np.repeat(np.arange(2, dtype=np.int64), n_t),
+        blocks=(np.arange(len(vertices)).reshape(n_r + 1, n_t).T,),
     )
     mesh.validate()
     return mesh
@@ -468,7 +477,8 @@ def mesh_torus_minus_disks(
     n_b vertices and every later collar ring 2*n_b; the rings are
     stitched, one Delaunay call meshes the background around them, and
     no point moves once placed.  Returns a validated mesh whose only
-    boundary edges are the hole polygons, marked by hole index.
+    boundary edges are the hole polygons, marked by hole index, with one
+    block per collar.
     """
     if not (side > 0):
         raise ConfigurationError(f"side must be > 0, got {side}")
@@ -525,11 +535,12 @@ def mesh_torus_minus_disks(
     # alternate rings, and consecutive rings are stitched into strips
     n_c = 2 * n_b
     ring_tops = []
-    holes, outer, strips = [], [], []
+    holes, outer, strips, blocks = [], [], [], []
     for c in frame:
         ang = 2.0 * math.pi * np.arange(n_b) / n_b
         ring = add(_ring(c, eps, ang))
         holes.append(ring)
+        cells = [ring[:, None]]
         band = (1.0 + _COLLAR_BAND) * eps
         collar_end = min(
             band * h_max / h,
@@ -553,8 +564,10 @@ def mesh_torus_minus_disks(
             nxt_ang = 2.0 * math.pi * (np.arange(n_c) + 0.5 * (k % 2)) / n_c
             nxt = add(_ring(c, r, nxt_ang))
             strips.append(_stitch(ring, ang, nxt, nxt_ang))
+            cells.append(nxt.reshape(n_b, 2))
             ring, ang = nxt, nxt_ang
         outer.append(ring)
+        blocks.append(np.hstack(cells))
         ring_tops.append(r)
 
     # hex background lattice, kept clear of seams and collars
@@ -594,6 +607,8 @@ def mesh_torus_minus_disks(
         be,
         np.repeat(np.arange(b, dtype=np.int64), n_b),
         np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        tuple(block for block in blocks
+              if h >= _TURN_SPACINGS * np.spacing(np.abs(pts[block] + off).max())),
     )
     mesh.validate()
     chi = mesh.euler_characteristic()

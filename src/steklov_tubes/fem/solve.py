@@ -34,24 +34,22 @@ at |C y - mu y| <= RESIDUAL mu by the block estimate (tested as if it
 falls at most 100-fold a step), then by the true residual; n_s vectors
 are exact.  Modes: u = A^-1 W y / mu, so u^T B u = |y|^2.
 
-A mesh that declares rays = n_t (the structured annulus) takes a third
-path for Steklov eigenvalues without modes.  Its vertex i*n_t + k sits
-on ring i and ray k, and turning by one ray maps the mesh onto itself,
-so K is block-circulant in the rays (P. J. Davis, Circulant Matrices,
-1979): K0 couples a ray to itself, K1 to the next and K1^T to the one
-before.  One pass over K's entries checks that each equals its twin in
-the ray-0 rows to 1e-12 max|K| and that those rows sum to zero
-(NumericalError otherwise), and the blocks are read off those rows.
-The Fourier sector j, u_k = v w^(jk) with w = exp(2 pi i / n_t), turns
-the pencil into the tridiagonal Hermitian K_j = K0 + w^j K1 + w^-j K1^T
-on the rings, formed as the zero-row-sum K_j at j = 0 plus (w^j - 1) K1
-+ (w^-j - 1) K1^T, so the small sector terms carry no cancellation.
-One banded Hermitian solve over all sectors eliminates the interior and
-Neumann rings onto the at most two Steklov rings, and the eigenvalues
-are those of the batched D^-1/2 S_j D^-1/2, rounding below zero
-clipped.  No sparse factorization is made.  Modes, Neumann spectra,
-tori, disks and loaded meshes (which carry no rays) take the general
-path.
+Steklov eigenvalues without modes use the mesh's ray-periodic blocks
+(Mesh.blocks): turning by one cell maps a block onto itself, so K is
+block-circulant in its cells (P. J. Davis, Circulant Matrices, 1979).
+The Fourier sector j, u_c = v w^(jc) with w = exp(2 pi i / n), turns it
+into a banded Hermitian K_j on the slots, and one banded solve over all
+sectors eliminates chosen slots (_sector_schur).  The annulus's one
+block covers the mesh (cells are rays, slots rings): the interior and
+Neumann rings are eliminated onto the at most two Steklov rings, whose
+batched D^-1/2 S_j D^-1/2 give the eigenvalues with no sparse
+factorization.  On the torus, rings 1..R-1 of each collar are
+eliminated onto the polygon and the outer ring R; an inverse DFT turns
+the 3 x 3 Schur complements into one dense rim block that replaces the
+rings in K, and the general path solves the reduced K with the same
+tau.  The Schur complement is exact, so the spectrum moves only by
+rounding.  Modes, Neumann spectra, disks and loaded meshes (which carry
+no blocks) take the general path.
 
 Because A is SPD, LU needs no pivoting to be stable, so SuperLU factors
 it symmetrically: symmetric mode, zero diagonal-pivot threshold and a
@@ -283,64 +281,131 @@ def _boundary_eigs(K, d: np.ndarray, count: int, tau: float, return_modes: bool 
     return vals, x / np.linalg.norm(Wt @ x, axis=0)
 
 
-def _sector_eigs(K, d: np.ndarray, fixed: np.ndarray, rays: int) -> np.ndarray:
-    """Every Steklov eigenvalue of a ray-periodic mesh, row j for sector j.
+def _turn_twins(K, block, rows, d: np.ndarray, fixed: np.ndarray):
+    """B[t, i, bw + s] = K[(0, rows[i]), (t, rows[i] + s)], (cell, slot) in block.
 
-    Dof i*rays + k is ring i, ray k.  Returns (rays, n_S) eigenvalues,
-    each row ascending, n_S the number of Steklov rings.
+    Raises NumericalError unless each entry in the K rows of the `rows`
+    slots lies in the block and equals its twin in cell 0 to 1e-12
+    max|K|, those rows sum to zero, and d and fixed are alike in all cells.
     """
-    n, Kc = K.shape[0], K.tocoo()
-    rings = n // rays
-    (ri, rk), (ci, ck) = np.divmod(Kc.row, rays), np.divmod(Kc.col, rays)
-    off, side = (ck - rk) % rays, ci - ri + 1  # side 0, 1, 2: ring below, same, above
-    turn = np.select([off == 0, off == 1, off == rays - 1], [0, 1, 2], -1)  # by 0, +1, -1 rays
-    broken = NumericalError(f"the mesh is not invariant under turning by one of {rays} rays")
-    if rays < 3 or rings * rays != n or np.any((turn < 0) | (side < 0) | (side > 2)):
+    n, slots = block.shape
+    where = np.full(K.shape[0], -1, dtype=np.int32)
+    where[block] = np.arange(block.size, dtype=np.int32).reshape(block.shape)
+    order = block[:, rows].T.ravel()  # slot rows[i] of cell c in row i*n + c
+    # a block that covers the mesh in K's own order (the annulus) is read in place
+    sub = K if np.array_equal(order, np.arange(K.shape[0])) else K[order]
+    ri, rc = np.divmod(np.repeat(np.arange(sub.shape[0], dtype=np.int32), np.diff(sub.indptr)), n)
+    cc, cq = np.divmod(where[sub.indices], slots)
+    turn, side = (cc - rc) % n, cq - rows.astype(np.int32)[ri]  # by how many cells, and slots
+    at0 = rc == 0
+    bw = int(np.abs(side[at0]).max())
+    broken = NumericalError(f"the mesh is not invariant under turning by one of {n} rays")
+    if n < 3 or np.any(cc < 0) or np.any(np.abs(side) > bw):
         raise broken
-    # B[turn, i, side]: the ray-0 row of ring i, where every entry of K has its twin
-    at0 = rk == 0
-    B = np.zeros((3, rings, 3))
-    B[turn[at0], ri[at0], side[at0]] = Kc.data[at0]
-    nnz = np.diff(K.indptr).reshape(rings, rays)
-    d_r, fixed_r = d.reshape(rings, rays), fixed.reshape(rings, rays)
-    tol = 1e-12 * np.abs(Kc.data).max()
+    del rc, cc, cq
+    flat = (turn * len(rows) + ri) * (2 * bw + 1) + side + bw
+    del turn, ri, side
+    B = np.zeros(n * len(rows) * (2 * bw + 1))
+    B[flat[at0]] = sub.data[at0]
+    dev = B[flat] - sub.data
+    B = B.reshape(n, len(rows), 2 * bw + 1)
+    nnz = np.diff(sub.indptr).reshape(len(rows), n)
+    d_b, fixed_b = d[block], fixed[block]
+    tol = 1e-12 * np.abs(K.data).max()
     if not (
         np.all(nnz == nnz[:, :1])
-        and np.all(np.abs(Kc.data - B[turn, ri, side]) <= tol)
+        and np.all(np.abs(dev, out=dev) <= tol)
         and np.all(np.abs(B.sum(axis=(0, 2))) <= tol)
-        and np.all(np.abs(d_r - d_r[:, :1]) <= 1e-12 * d.max())
-        and np.all(fixed_r == fixed_r[:, :1])
+        and np.all(np.abs(d_b - d_b[:1]) <= 1e-12 * d.max())
+        and np.all(fixed_b == fixed_b[:1])
     ):
         raise broken
+    return B
 
-    # sector j: K_j = K0 + w^j K1 + w^-j K1^T as K_j at j = 0, with the
-    # zero row sums of a P1 stiffness, plus (w^j - 1) K1 + (w^-j - 1) K1^T
-    R0 = B.sum(axis=0)
-    R0[:, 1] = -(R0[:, 0] + R0[:, 2])
-    theta = 2.0 * np.pi * np.fft.fftfreq(rays)[:, None, None]
-    wm1 = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)  # w^j - 1
-    R = R0 + wm1 * B[1] + wm1.conj() * B[2]
-    diag = R[..., 1].real
-    sup = np.zeros((rays, rings), dtype=complex)  # (i, i + 1), zero past the last ring
-    sup[:, :-1] = 0.5 * (R[:, :-1, 2] + R[:, 1:, 0].conj())
+
+def _sector_schur(K, block, rows, elim, keep, d, fixed):
+    """S_j = K_j[keep, keep] - K_j[keep, elim] K_j[elim, elim]^-1 K_j[elim, keep].
+
+    block is an (n, slots) grid of dofs, and K_j is read from the K rows
+    of the `rows` slots, zero between two other slots.  Returns (n,
+    len(keep), len(keep)), sector j in row j.
+    """
+    n, slots = block.shape
+    B = _turn_twins(K, block, rows, d, fixed)
+    bw = B.shape[2] // 2
+
+    # K_j = sum_t w^(jt) K_t as the zero-row-sum K_j at j = 0 plus, over t != 0,
+    # (w^(jt) - 1) K_t: the small sector terms carry no cancellation
+    R = B.sum(axis=0)
+    R[:, bw] = -(R[:, :bw].sum(axis=1) + R[:, bw + 1 :].sum(axis=1))
+    theta = 2.0 * np.pi * np.fft.fftfreq(n)[:, None, None]
+    for t in np.flatnonzero(B[1:].any(axis=(1, 2))) + 1:
+        angle = theta * (t if 2 * t <= n else t - n)
+        R = R + (-2.0 * np.sin(0.5 * angle) ** 2 + 1j * np.sin(angle)) * B[t]
+    # U[:, p, s] = (K_j)[p, p + s], the mean of rows p and p + s where given
+    U = np.zeros((n, slots + bw, bw + 1), dtype=complex)
+    U[:, rows] = R[..., bw:]
+    for s in range(bw + 1):
+        U[:, rows - s, s] += R[..., bw - s].conj()
+    given = np.isin(np.arange(slots + bw), rows).astype(int)
+    counts = given[:slots, None] + given[np.arange(slots)[:, None] + np.arange(bw + 1)]
+    U = U[:, :slots] / np.maximum(counts, 1)
 
     def entry(p, q):
-        """(K_j)[p, q] for every sector j, broadcast over ring indices p, q."""
-        lo = np.minimum(p, q)
-        near = np.where(q > p, sup[:, lo], sup[:, lo].conj())
-        return np.where(p == q, diag[:, p], np.where(np.abs(p - q) == 1, near, 0.0))
+        """(K_j)[p, q] for every sector j, broadcast over slot indices p, q."""
+        far = np.abs(q - p)
+        near = U[:, np.minimum(p, q), np.minimum(far, bw)]
+        return np.where(far <= bw, np.where(q < p, near.conj(), near), 0.0)
 
-    S = np.flatnonzero((d_r[:, 0] > 0) & ~fixed_r[:, 0])
-    I = np.flatnonzero((d_r[:, 0] == 0) & ~fixed_r[:, 0])
-    band = np.zeros((2, rays, len(I)), dtype=complex)  # upper form, blocks apart
-    band[0, :, 1:] = entry(I[:-1], I[1:])
-    band[1] = entry(I, I)
-    KIS = entry(I[:, None], S[None, :])
+    band = np.zeros((bw + 1, n, len(elim)), dtype=complex)  # upper form, sectors apart
+    for s in range(1, bw + 1):
+        band[bw - s, :, s:] = entry(elim[:-s], elim[s:])
+    band[bw] = entry(elim, elim)
+    KEK = entry(elim[:, None], keep[None, :])
     with _numerical_errors():
-        X = solveh_banded(band.reshape(2, -1), KIS.reshape(-1, len(S))).reshape(KIS.shape)
-        schur = entry(S[:, None], S[None, :]) - KIS.conj().transpose(0, 2, 1) @ X
-        scale = 1.0 / np.sqrt(d_r[S, 0])
+        X = solveh_banded(band.reshape(bw + 1, -1), KEK.reshape(-1, len(keep)))
+    return entry(keep[:, None], keep) - KEK.conj().transpose(0, 2, 1) @ X.reshape(KEK.shape)
+
+
+def _sector_eigs(K, d: np.ndarray, fixed: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Every Steklov eigenvalue of a mesh one block covers (slot i is ring i).
+
+    Returns (n, n_S) eigenvalues, row j ascending for sector j, n_S Steklov rings.
+    """
+    d0, free0 = d[block[0]], ~fixed[block[0]]
+    S, I = np.flatnonzero(free0 & (d0 > 0)), np.flatnonzero(free0 & (d0 == 0))
+    schur = _sector_schur(K, block, np.arange(block.shape[1]), I, S, d, fixed)
+    scale = 1.0 / np.sqrt(d0[S])
+    with _numerical_errors():
         return np.linalg.eigvalsh(scale[:, None] * schur * scale)
+
+
+def _condense_collars(K, d: np.ndarray, fixed: np.ndarray, blocks):
+    """(K, d, fixed) with rings 1..R-1 of each collar block eliminated.
+
+    Slot 0 of a collar block is its hole polygon, its last two slots its
+    outer ring R: the rim, whose rows get zero sums again at the end.
+    """
+    stay = np.ones(K.shape[0], dtype=bool)
+    Kc = K.tocoo()
+    parts, rims = [(Kc.row, Kc.col, Kc.data)], []
+    for block in blocks:
+        n, slots = block.shape
+        elim, keep = np.arange(1, slots - 2), np.array([0, slots - 2, slots - 1])
+        schur = _sector_schur(K, block, elim, elim, keep, d, fixed)
+        # cell c couples to cell c + t by (1/n) sum_j S_j w^(-jt)
+        coupling = np.fft.fft(schur, axis=0).real / n
+        dense = coupling[(np.arange(n) - np.arange(n)[:, None]) % n].transpose(0, 2, 1, 3)
+        rims.append(block[:, keep].ravel())
+        parts.append((np.repeat(rims[-1], 3 * n), np.tile(rims[-1], 3 * n), dense.ravel()))
+        stay[block[:, elim]] = False
+    row, col, data = map(np.concatenate, zip(*parts))
+    A = sparse.csr_matrix((data, (row, col)), shape=K.shape)[stay][:, stay]
+    diag = A.diagonal()
+    A.setdiag(0.0)
+    rim = np.isin(np.flatnonzero(stay), np.concatenate(rims))
+    A.setdiag(np.where(rim, -(A @ np.ones(A.shape[0])), diag))
+    return A, d[stay], fixed[stay]
 
 
 def steklov_spectrum(
@@ -374,23 +439,21 @@ def _steklov(
     fixed = np.zeros(ndof, dtype=bool)
     sel = np.isin(mesh.boundary_markers, list(dset))
     fixed[dof[mesh.boundary_edges[sel].ravel()]] = True
-    free = np.flatnonzero(~fixed)
-    n_steklov = int(np.count_nonzero(d_vec[free] > 0))
+    n_steklov = int(np.count_nonzero(d_vec[~fixed] > 0))
     if count > n_steklov:
         raise ConfigurationError(
             f"requested {count} eigenvalues but only {n_steklov} boundary dofs"
         )
 
-    if mesh.rays and not return_modes:
-        sigmas = np.sort(_sector_eigs(K, d_vec, fixed, mesh.rays), axis=None)[:count]
-        return np.maximum(sigmas, 0.0)  # as _lam clips rounding below zero
-    out = _boundary_eigs(
-        K[free][:, free],
-        d_vec[free],
-        count,
-        1.0 / float(d_vec.sum()),
-        return_modes,
-    )
+    tau = 1.0 / float(d_vec.sum())
+    if mesh.blocks and not return_modes:
+        blocks = [dof[block] for block in mesh.blocks]
+        if blocks[0].size == ndof:  # one block covers the mesh
+            sigmas = np.sort(_sector_eigs(K, d_vec, fixed, blocks[0]), axis=None)[:count]
+            return np.maximum(sigmas, 0.0)  # as _lam clips rounding below zero
+        K, d_vec, fixed = _condense_collars(K, d_vec, fixed, blocks)
+    free = np.flatnonzero(~fixed)
+    out = _boundary_eigs(K[free][:, free], d_vec[free], count, tau, return_modes)
     if not return_modes:
         return out
     sigmas, u_free = out

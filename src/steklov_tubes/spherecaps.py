@@ -42,6 +42,10 @@ from operator import itemgetter
 from .errors import CompletenessError
 
 N_MAX = 50
+# ode_oracle holds about a dozen float arrays of grid + 1 entries: a grid
+# at this cap adds about 145 MB to the process, and a larger one is
+# refused before numpy allocates, instead of taking the machine's memory
+MAX_ORACLE_GRID = 10**6
 
 
 def _check_eps(eps: float) -> None:
@@ -177,13 +181,12 @@ def ode_oracle(n: int, eps: float, grid: int = 1000) -> tuple[float, float]:
     For n = 0 the pair is (0, ~sigma_zero); for n >= 1 it is
     (~sigma_n^-, ~sigma_n^+).
     """
-    import numpy as np
-    from scipy.linalg import solveh_banded
-
     _check_eps(eps)
     _check_n(n)
-    if grid < 100:
-        raise ValueError(f"grid must be >= 100, got {grid}")
+    if not 100 <= grid <= MAX_ORACLE_GRID:
+        raise ValueError(f"grid must be in [100, {MAX_ORACLE_GRID}], got {grid}")
+    import numpy as np
+    from scipy.linalg import solveh_banded
 
     s0 = math.log(math.tan(eps / 2.0))
     s = np.linspace(s0, -s0, grid + 1)

@@ -134,6 +134,8 @@ def test_exit_codes(capsys, tmp_path):
         # the oracle solves one angular index, on a grid of at least 100
         ["sphere-caps", "--eps", "0.5", "--oracle-grid", "100", "--count", "2"],
         ["sphere-caps", "--eps", "0.5", "--n", "1", "--oracle-grid", "0"],
+        # and one it could not allocate is refused before numpy is asked
+        ["sphere-caps", "--eps", "0.5", "--n", "2", "--oracle-grid", str(10**12)],
     ):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()

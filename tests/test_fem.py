@@ -181,8 +181,8 @@ def test_steklov_lanczos_on_boundary_space(annulus_mesh, monkeypatch):
     )
     monkeypatch.setattr(solve, "eigsh", lambda *a, **kw: pytest.fail("eigsh called"))
     # a fresh copy, so that no spectrum of another test is cached on it,
-    # that does not declare its rays, so that it takes this path
-    mesh = dataclasses.replace(annulus_mesh, rays=0)
+    # that does not declare its block, so that it takes this path
+    mesh = dataclasses.replace(annulus_mesh, blocks=())
     steklov_spectrum(mesh, 8)
     _, _, dof, ndof = assemble(mesh)
     n_s = int(np.count_nonzero(boundary_mass(mesh, {0, 1}, dof, ndof)))
@@ -228,10 +228,24 @@ def test_lanczos_basis_that_cannot_grow():
         solve._extend(np.full((4, 1), np.nan), np.zeros((4, 0)), np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("eps, h", [(0.03, 0.006), (0.035, 0.035 / 4.5), (0.04, 0.04 / 4.5)])
-def test_steklov_zero_mode_not_negative(eps, h):
+FOUR_HOLES = ((0.25, 0.25), (0.75, 0.75), (0.25, 0.75), (0.75, 0.25))
+
+
+@pytest.mark.parametrize(
+    "eps, h, centers",
+    [
+        pytest.param(eps, h, TORUS_CENTERS, id=f"{eps}-{h}")
+        for eps, h in [(0.03, 0.006), (0.035, 0.035 / 4.5), (0.04, 0.04 / 4.5)]
+    ]
+    + [
+        # the torus of criteria 5-7, and four holes
+        pytest.param(0.01, 0.01 / 6.0, TORUS_CENTERS, id="criteria-5-7"),
+        pytest.param(0.05, 0.01, FOUR_HOLES, id="four-holes"),
+    ],
+)
+def test_steklov_zero_mode_not_negative(eps, h, centers):
     # K and D are semidefinite, so rounding must not push sigma_0 below 0
-    vals = steklov_spectrum(mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, h), 1)
+    vals = steklov_spectrum(mesh_torus_minus_disks(1.0, centers, eps, h), 1)
     assert 0.0 <= vals[0] <= 1e-10
 
 
@@ -319,7 +333,7 @@ def test_steklov_shift_keeps_the_stiffness_pattern(monkeypatch):
 
 def test_spectra_solved_once_per_mesh(annulus_mesh, monkeypatch):
     # the marker lists are keyed as sets: a list and a tuple share one solve
-    mesh = dataclasses.replace(annulus_mesh, rays=0)
+    mesh = dataclasses.replace(annulus_mesh, blocks=())
     factored = _count_factors(monkeypatch)
     vals = steklov_spectrum(mesh, 8, dirichlet_markers=[0])
     assert steklov_spectrum(mesh, 8, dirichlet_markers=(0,)) is vals
@@ -424,9 +438,9 @@ MARKER_SETS = [((), ()), ((0,), ()), ((), (0,)), ((1,), ())]
 @pytest.mark.parametrize("h", [0.05, 0.02])
 @pytest.mark.parametrize("dirichlet, neumann", MARKER_SETS)
 def test_sector_path_matches_lanczos(h, dirichlet, neumann, monkeypatch):
-    # the same annulus with rays = 0 takes SuperLU and block Lanczos
+    # the same annulus without its block takes SuperLU and block Lanczos
     mesh = mesh_planar(Annulus(0.5, 1.0), h)
-    general = dataclasses.replace(mesh, rays=0)
+    general = dataclasses.replace(mesh, blocks=())
     _, _, dof, ndof = assemble(mesh)
     steklov = {0, 1} - set(dirichlet) - set(neumann)
     n_s = int(np.count_nonzero(boundary_mass(mesh, steklov, dof, ndof)))
@@ -449,8 +463,8 @@ def test_sector_against_mpmath():
     mesh = mesh_planar(Annulus(0.5, 1.0), 0.05)
     K, _, dof, ndof = assemble(mesh)
     d = boundary_mass(mesh, {0, 1}, dof, ndof)
-    got = solve._sector_eigs(K, d, np.zeros(ndof, dtype=bool), mesh.rays)[1]
-    n_t, rings = mesh.rays, ndof // mesh.rays
+    got = solve._sector_eigs(K, d, np.zeros(ndof, dtype=bool), mesh.blocks[0])[1]
+    n_t, rings = mesh.blocks[0].shape
     with mpmath.workdps(30):
         w = mpmath.expjpi(mpmath.mpf(2) / n_t)
         Kj = mpmath.matrix(rings, rings)
@@ -475,25 +489,87 @@ def test_sector_against_mpmath():
 
 def test_sector_path_checks_the_rays(annulus_mesh):
     # one interior vertex moved off its ring breaks the turn symmetry
+    block = annulus_mesh.blocks[0]
     v = annulus_mesh.vertices.copy()
-    v[3 * annulus_mesh.rays + 5] *= 1.01
+    v[block[5, 3]] *= 1.01
     moved = dataclasses.replace(annulus_mesh, vertices=v)
-    half = dataclasses.replace(annulus_mesh, rays=annulus_mesh.rays // 2)
+    # half as many rays per ring: turning by one cell is no symmetry
+    half = dataclasses.replace(annulus_mesh, blocks=(block.T.reshape(-1, len(block) // 2).T,))
     for mesh in (moved, half):
         with pytest.raises(NumericalError, match="rays"):
             steklov_spectrum(mesh, 8)
     # the general path solves the moved mesh
-    assert steklov_spectrum(dataclasses.replace(moved, rays=0), 8)[0] <= 1e-10
+    assert steklov_spectrum(dataclasses.replace(moved, blocks=()), 8)[0] <= 1e-10
 
 
 def test_loaded_annulus_takes_lanczos(annulus_mesh, tmp_path, monkeypatch):
     path = tmp_path / "annulus.msh"
     annulus_mesh.save(str(path))
     loaded = Mesh.load(str(path))
-    assert annulus_mesh.rays > 0 and loaded.rays == 0
+    assert len(annulus_mesh.blocks) == 1 and loaded.blocks == ()
     factored = _count_factors(monkeypatch)
     vals = steklov_spectrum(loaded, 8)
     assert len(factored) == 1
     ref = steklov_spectrum(annulus_mesh, 8)
     assert len(factored) == 1
     assert list(vals) == pytest.approx(list(ref), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "centers, eps, h, count, kw",
+    [
+        pytest.param(TORUS_CENTERS, 0.03, 0.005, 10, {}, id="criterion-3"),
+        pytest.param(FOUR_HOLES, 0.05, 0.01, 8, {}, id="four-holes"),
+        pytest.param(TORUS_CENTERS, 0.05, 0.01, 8, {"dirichlet_markers": (0,)}, id="dirichlet"),
+        pytest.param(TORUS_CENTERS, 0.05, 0.01, 8, {"neumann_markers": (1,)}, id="neumann"),
+    ],
+)
+def test_collar_path_matches_lanczos(centers, eps, h, count, kw, monkeypatch):
+    # the same torus without its collar blocks factors every dof
+    mesh = mesh_torus_minus_disks(1.0, centers, eps, h)
+    general = dataclasses.replace(mesh, blocks=())
+    factored = _count_factors(monkeypatch)
+    vals = steklov_spectrum(mesh, count, **kw)
+    ref = steklov_spectrum(general, count, **kw)
+    assert list(vals) == pytest.approx(list(ref), rel=1e-10, abs=1e-10)
+    if not kw:  # rings 1..R-1 of every collar were eliminated before the factorization
+        assert 0.0 <= vals[0] <= 1e-10
+        interior = sum(block[:, 1:-2].size for block in mesh.blocks)
+        assert [A.shape[0] for A in factored] == [mesh.dof_map()[1] - interior, mesh.dof_map()[1]]
+
+
+def test_collar_path_checks_the_turn(torus_mesh):
+    # one vertex of an interior collar ring moved outward by 1%
+    block = torus_mesh.blocks[1]
+    v = torus_mesh.vertices.copy()
+    center = v[block[:, 0]].mean(axis=0)
+    v[block[4, 3]] = center + 1.01 * (v[block[4, 3]] - center)
+    moved = dataclasses.replace(torus_mesh, vertices=v)
+    with pytest.raises(NumericalError, match="rays"):
+        steklov_spectrum(moved, 3)
+    # the general path solves the moved mesh
+    assert steklov_spectrum(dataclasses.replace(moved, blocks=()), 3)[0] <= 1e-10
+
+
+def test_condensed_collars_keep_zero_row_sums(torus_mesh):
+    # the Schur complement of a zero-row-sum K has zero row sums; each rim
+    # row's diagonal is reset to restore them after the sector solves' rounding
+    K, _, dof, ndof = assemble(torus_mesh)
+    d = boundary_mass(torus_mesh, {0, 1}, dof, ndof)
+    blocks = [dof[block] for block in torus_mesh.blocks]
+    A, d_kept, fixed = solve._condense_collars(K, d, np.zeros(ndof, dtype=bool), blocks)
+    assert A.shape[0] == len(d_kept) == len(fixed) == ndof - sum(b[:, 1:-2].size for b in blocks)
+    assert np.array_equal(d_kept[d_kept > 0], d[d > 0])
+    # the sector solves alone leave rim row sums near 1e-14 max|A|
+    assert np.abs(A @ np.ones(A.shape[0])).max() <= 3e-15 * np.abs(A.data).max()
+
+
+def test_fine_collars_take_the_general_path(monkeypatch):
+    # at h = 1e-4 the rounding of the coordinates alone would move the
+    # stiffness twins past the sector check's 1e-12, so the generator
+    # declares no collar and the torus is factored whole
+    mesh = mesh_torus_minus_disks(1.0, TORUS_CENTERS, 0.0005, 0.0001)
+    assert mesh.blocks == ()
+    factored = _count_factors(monkeypatch)
+    assert 0.0 <= steklov_spectrum(mesh, 3)[0] <= 1e-10
+    assert [A.shape[0] for A in factored] == [mesh.dof_map()[1]]

@@ -209,12 +209,13 @@ def test_mesh_is_immutable(torus_mesh):
     with pytest.raises(dataclasses.FrozenInstanceError):
         torus_mesh.vertices = torus_mesh.vertices + 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        torus_mesh.rays = 4
+        torus_mesh.blocks = ()
     K, M, dof, _ = assemble(torus_mesh)
-    # every field but the integer rays is an array
+    # every field is an array but blocks, a tuple of arrays
     arrays = [getattr(torus_mesh, f.name) for f in dataclasses.fields(torus_mesh)]
-    assert arrays.pop() == 0
-    arrays += [dof, K.data, K.indices, K.indptr, M.data]
+    blocks = arrays.pop()
+    assert isinstance(blocks, tuple) and len(blocks) == 2
+    arrays += [*blocks, dof, K.data, K.indices, K.indptr, M.data]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = arr[0]
@@ -412,3 +413,25 @@ def test_save_load_roundtrip(tmp_path, torus_mesh):
         torus_mesh.num_triangles,
         len(torus_mesh.boundary_edges),
     ]
+
+
+def test_blocks_turn_onto_themselves(annulus_mesh, torus_mesh):
+    # turning a block by one cell about its center maps row c onto row
+    # c + 1; a torus block's slot 0 is its hole polygon, and the
+    # annulus's one block covers the mesh
+    four = mesh_torus_minus_disks(1.0, [(0.25, 0.25), (0.75, 0.75), (0.25, 0.75), (0.75, 0.25)],
+                                  0.05, 0.01)
+    assert annulus_mesh.blocks[0].size == annulus_mesh.num_vertices
+    for mesh in (annulus_mesh, torus_mesh, four):
+        for j, block in enumerate(mesh.blocks):
+            p = mesh.vertices[block]
+            center = p[:, 0].mean(axis=0)
+            c, s = math.cos(2.0 * math.pi / len(block)), math.sin(2.0 * math.pi / len(block))
+            turned = center + (p - center) @ np.array([[c, s], [-s, c]])
+            assert np.abs(turned - np.roll(p, -1, axis=0)).max() <= 1e-12
+            if mesh is not annulus_mesh:
+                polygon = mesh.boundary_edges[mesh.boundary_markers == j, 0]
+                assert np.array_equal(block[:, 0], polygon)
+        every = np.concatenate([b.ravel() for b in mesh.blocks])
+        assert len(np.unique(every)) == len(every)
+    assert len(torus_mesh.blocks) == 2 and len(four.blocks) == 4

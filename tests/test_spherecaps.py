@@ -180,3 +180,6 @@ def test_argument_validation():
         determinant_residual(0, 0.3, 1.0)
     with pytest.raises(ValueError):
         ode_oracle(1, 0.3, grid=50)
+    # past the cap, before numpy allocates: the grid below would need terabytes
+    with pytest.raises(ValueError, match="grid must be in"):
+        ode_oracle(1, 0.3, grid=10**12)
