@@ -66,7 +66,7 @@ def dirichlet_energy_check(
     """
     if sigma1_sn <= 0:
         raise ConfigurationError(f"sigma1_sn must be > 0, got {sigma1_sn}")
-    K, _, dof, ndof = assemble(mesh)
+    K, dof, ndof = assemble(mesh)
     f = np.asarray(f, dtype=float)
     if f.shape != (ndof,):
         raise ConfigurationError(f"f must have shape ({ndof},), got {f.shape}")
@@ -96,7 +96,7 @@ def poincare_check(
         raise ConfigurationError("both triangle subsets must be nonempty")
     if np.intersect1d(tris_a, tris_b).size:
         raise ConfigurationError("triangle subsets must be disjoint")
-    K, _, dof, ndof = assemble(mesh)
+    K, dof, ndof = assemble(mesh)
     f = np.asarray(f, dtype=float)
     if f.shape != (ndof,):
         raise ConfigurationError(f"f must have shape ({ndof},), got {f.shape}")

@@ -4,7 +4,11 @@ Three generators:
 
   * mesh_planar(Disk(R), h): spiderweb mesh, ring i carries 6i vertices,
     so refining h by 2 roughly quadruples the vertex count and meshes of
-    different h are geometrically similar.
+    different h are geometrically similar.  The vertices are 6-fold
+    symmetric, the triangles not quite: where rings i and i + 1 meet a
+    60-degree ray, _stitch breaks the tie by rounded angles, so the
+    60-degree turn maps 40 of 2400 triangles at h 0.05 (124 of 15000 at
+    h 0.02) onto no triangle of the mesh.
   * mesh_planar(Annulus(r_in, r_out), h): structured polar grid of
     rings with n_t equally spaced vertices each, vertex i*n_t + k on ring
     i at angle 2 pi k / n_t.  Turning by one ray maps it onto itself; it
@@ -41,7 +45,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
@@ -60,16 +64,24 @@ def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The 3*nt directed edges are the 0-1 sides of every triangle, then the
     1-2 sides, then the 2-0 sides; inverse (int32 when 3*nt < 2**31) maps
     each to its row of the unique (a <= b) pairs, in lexicographic order.
-    The sort key a*n + b is int64 so it cannot wrap for large meshes.
+    The pairs are a CSR matrix with row a and column b, which a counting
+    sort over a builds with duplicates summed, in O(nt + n) for bounded
+    vertex degree (Davis, Direct Methods for Sparse Linear Systems, SIAM
+    2006, sections 2.4-2.5); each directed edge then looks up its pair's
+    number in that matrix.
     """
-    corners = tri.T.astype(np.int64, order="C")
+    corners = tri.T
     start, end = corners.ravel(), corners[[1, 2, 0]].ravel()
-    n = tri.max(initial=0) + 1
-    keys = np.minimum(start, end) * n
-    keys += np.maximum(start, end)
-    keys, inverse = np.unique(keys, return_inverse=True)
-    index = np.int32 if len(inverse) < 2**31 else np.int64
-    return np.column_stack(np.divmod(keys, n)), inverse.astype(index)
+    n = int(tri.max(initial=0)) + 1
+    a, b = np.minimum(start, end), np.maximum(start, end)
+    del start, end
+    pairs = csr_array((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+    index = np.int32 if len(a) < 2**31 else np.int64
+    pairs.data = np.arange(pairs.nnz, dtype=index)
+    inverse = pairs[a, b]
+    del a, b
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pairs.indptr))
+    return np.column_stack([rows, pairs.indices]), inverse
 
 
 # A generator refuses a mesh estimated above MAX_VERTICES before it
@@ -127,8 +139,9 @@ class Mesh:
 
     The arrays are read-only copies of the constructor's, so a generator
     finishes every array, the torus boundary included, before it builds
-    the mesh.  The dof map, the edge table, the areas, the operators of
-    solve.assemble, the Steklov and Neumann spectra of fem.solve and the
+    the mesh.  The dof map, the edge table, the areas, the stiffness of
+    solve.assemble, the mass of solve.mass (built for Neumann solves
+    only), the Steklov and Neumann spectra of fem.solve and the
     boundary masses of fem.checks are cached on the instance, so every
     check and solve on one mesh object shares them; dataclasses.replace
     gives a new mesh with a fresh cache.
@@ -304,7 +317,10 @@ def _stitch(inner: np.ndarray, inner_ang: np.ndarray, outer: np.ndarray,
 
     Each step advances the ring whose next vertex comes first
     counterclockwise, the inner ring on ties: the steps follow a stable
-    sort of both rings' next angles, inner first.  Every triangle (inner,
+    sort of both rings' next angles, inner first.  Ties are between the
+    rounded angles; two angles equal in exact arithmetic (the disk's
+    ring i and ring i + 1 both reach each 60-degree ray) may round
+    either way, and then the smaller steps first.  Every triangle (inner,
     outer, next) comes out counterclockwise.
     """
     n_in, n_out = len(inner), len(outer)

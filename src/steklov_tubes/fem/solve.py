@@ -1,11 +1,14 @@
 """P1 assembly and the two spectral solves used by the benchmarks.
 
 Assembly reads the mesh's cached dof-space edge table and areas, the
-ones validate and the Euler characteristic read.  Each triangle gives
-three side entries and three diagonal entries of K and of M; a bincount
-sums them per unique edge and per dof, and they are written onto one
-CSR pattern built from the edge table, whose indices and indptr K and M
-share.
+ones validate and the Euler characteristic read.  assemble builds the
+stiffness K alone: each triangle gives three side entries and three
+diagonal entries, formed one triangle side at a time from coordinate
+differences; a bincount sums them per unique edge and per dof, and only
+then is the CSR pattern built from the edge table.  mass builds the
+consistent mass M the same way, for the Neumann pencil only, and keeps
+K's own indices and indptr, so a mesh holds one pattern.  Steklov
+solves and the energy checks never build M.
 
 Both spectra are the smallest eigenvalues of a symmetric pencil
 K u = lam B u with K and B positive semidefinite.  For the Neumann
@@ -76,12 +79,21 @@ BLOCK = 2  # Steklov Lanczos block size
 RESIDUAL = 1e-10  # relative residual of every Steklov Ritz pair
 
 
-def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, int]:
-    """Stiffness and consistent mass in dof space; returns (K, M, dof, ndof).
+def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, np.ndarray, int]:
+    """Stiffness in dof space; returns (K, dof, ndof).
 
-    Built once per mesh object; K and M have read-only arrays.
+    Built once per mesh object; K has read-only arrays.
     """
-    return mesh.cached("operators", _assemble)
+    return mesh.cached("stiffness", _assemble)
+
+
+def mass(mesh: Mesh) -> sparse.csr_matrix:
+    """Consistent mass in dof space, on K's indices and indptr.
+
+    Built once per mesh object, and only for the Neumann pencil; M has
+    read-only arrays.
+    """
+    return mesh.cached("mass", _mass)
 
 
 def _pattern(edges: np.ndarray, ndof: int):
@@ -93,7 +105,8 @@ def _pattern(edges: np.ndarray, ndof: int):
     diagonal and of each edge's (a, b) and (b, a) entries.
     """
     a, b = edges.T
-    steps = np.arange(len(edges))
+    index = np.int32 if ndof + 2 * len(edges) < 2**31 else np.int64
+    steps = np.arange(len(edges), dtype=index)
     n_below, n_above = np.bincount(b, minlength=ndof), np.bincount(a, minlength=ndof)
     indptr = np.concatenate([[0], np.cumsum(n_below + 1 + n_above)])
     diag = indptr[:-1] + n_below
@@ -101,48 +114,85 @@ def _pattern(edges: np.ndarray, ndof: int):
     # edge first_above[a], and the upper triangle's CSC order, a counting
     # sort, lists the edges by (b, a)
     first_above = np.cumsum(n_above) - n_above
-    upper = (diag + 1 - first_above)[a] + steps
+    upper = (diag + 1 - first_above).astype(index)[a] + steps
     by_b = sparse.csr_matrix(
         (steps, b, np.append(first_above, len(edges))), shape=(ndof, ndof)
     ).tocsc().data
     lower = np.empty_like(upper)
-    lower[by_b] = (indptr[:-1] - (np.cumsum(n_below) - n_below))[b[by_b]] + steps
-    index = np.int32 if indptr[-1] < 2**31 else np.int64
+    lower[by_b] = (indptr[:-1] - (np.cumsum(n_below) - n_below)).astype(index)[b[by_b]] + steps
     indices = np.empty(indptr[-1], dtype=index)
     indices[diag], indices[upper], indices[lower] = np.arange(ndof), b, a
     return indptr.astype(index), indices, diag, upper, lower
 
 
-def _assemble(mesh: Mesh):
+def _sums(mesh: Mesh, side: np.ndarray, corner: np.ndarray):
+    """(3, nt) side and corner entries of each triangle summed per edge and per dof.
+
+    bincount reads them in the edge table's side order.
+    """
     dof, ndof = mesh.dof_map()
     edges, inverse = mesh.edges()
+    corner_dof = dof[mesh.triangles.T].ravel()
+    on_edges = np.bincount(inverse, side.ravel(), len(edges))
+    return on_edges, np.bincount(corner_dof, corner.ravel(), ndof)
+
+
+def _operator(mesh: Mesh, on_edges: np.ndarray, on_dofs: np.ndarray, like=None):
+    """The symmetric CSR operator with these edge and diagonal entries.
+
+    On like's own indices and indptr when given; its arrays are read-only.
+    """
+    _, ndof = mesh.dof_map()
+    indptr, indices, diag, upper, lower = _pattern(mesh.edges()[0], ndof)
+    data = np.empty(len(indices))
+    data[upper] = data[lower] = on_edges
+    data[diag] = on_dofs
+    op = sparse.csr_matrix((data, indices, indptr), shape=(ndof, ndof))
+    if like is not None:  # one pattern per mesh: hold like's arrays, not equal copies
+        op.indices, op.indptr = like.indices, like.indptr
+    for arr in (op.data, op.indices, op.indptr):
+        arr.flags.writeable = False
+    return op
+
+
+def _stiffness_entries(mesh: Mesh):
+    """(3, nt) side and diagonal stiffness entries of each triangle.
+
+    e_i is the side opposite corner i (from corner i + 1 to i + 2), and
+    grad phi_i = perp(e_i) / (2A).  Side k of _edge_table joins corners k
+    and k + 1, so its entry is e_k . e_(k+1) / (4A), and the diagonal
+    entry of corner k is |e_k|^2 / (4A).  Each e_k is gathered once, one
+    coordinate difference at a time.
+    """
     area = mesh.areas()
     if np.any(area <= 0):
         raise NumericalError("assembly requires CCW triangles with positive area")
-    # rows e_0, e_1, e_2, e_0 of each triangle, e_i the side opposite
-    # corner i (from corner i + 1 to i + 2); grad phi_i = perp(e_i) / (2A).
-    # Side k of _edge_table joins corners k and k + 1, so its entry is
-    # e_k . e_(k+1) / (4A)
-    ex, ey = (np.diff(mesh.vertices[:, i][mesh.triangles.T[[1, 2, 0, 1, 2]]], axis=0)
-              for i in (0, 1))
+    x, y, corners = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.triangles.T
     w = 0.25 / area
-    k_side = (ex[:3] * ex[1:] + ey[:3] * ey[1:]) * w
-    k_diag = (ex[:3] ** 2 + ey[:3] ** 2) * w
+    side, diag = np.empty((3, len(area))), np.empty((3, len(area)))
 
-    corner_dof = dof[mesh.triangles.T].ravel()
-    indptr, indices, diag, upper, lower = _pattern(edges, ndof)
+    def e(i):
+        start, end = corners[(i + 1) % 3], corners[(i + 2) % 3]
+        return x[end] - x[start], y[end] - y[start]
 
-    def operator(side: np.ndarray, corner: np.ndarray) -> sparse.csr_matrix:
-        data = np.empty(len(indices))
-        data[upper] = data[lower] = np.bincount(inverse, side.ravel(), len(edges))
-        data[diag] = np.bincount(corner_dof, corner.ravel(), ndof)
-        return sparse.csr_matrix((data, indices, indptr), shape=(ndof, ndof))
+    first = ex, ey = e(0)
+    for k in range(3):
+        nx, ny = e(k + 1) if k < 2 else first
+        side[k] = (ex * nx + ey * ny) * w
+        diag[k] = (ex**2 + ey**2) * w
+        ex, ey = nx, ny
+    return side, diag
 
-    K = operator(k_side, k_diag)
-    M = operator(np.tile(area / 12.0, 3), np.tile(area / 6.0, 3))
-    for arr in (K.data, K.indices, K.indptr, M.data, M.indices, M.indptr):
-        arr.flags.writeable = False
-    return K, M, dof, ndof
+
+def _assemble(mesh: Mesh):
+    dof, ndof = mesh.dof_map()
+    return _operator(mesh, *_sums(mesh, *_stiffness_entries(mesh))), dof, ndof
+
+
+def _mass(mesh: Mesh):
+    area = mesh.areas()
+    on_edges, on_dofs = _sums(mesh, np.tile(area / 12.0, 3), np.tile(area / 6.0, 3))
+    return _operator(mesh, on_edges, on_dofs, like=assemble(mesh)[0])
 
 
 def boundary_mass(mesh: Mesh, markers: set[int], dof: np.ndarray, ndof: int) -> np.ndarray:
@@ -294,24 +344,37 @@ def _turn_twins(K, block, rows, d: np.ndarray, fixed: np.ndarray):
     order = block[:, rows].T.ravel()  # slot rows[i] of cell c in row i*n + c
     # a block that covers the mesh in K's own order (the annulus) is read in place
     sub = K if np.array_equal(order, np.arange(K.shape[0])) else K[order]
+    # per-entry int32 arrays, turned into the flat index of B in place and
+    # freed as soon as they are read: at most four live at once
     ri, rc = np.divmod(np.repeat(np.arange(sub.shape[0], dtype=np.int32), np.diff(sub.indptr)), n)
-    cc, cq = np.divmod(where[sub.indices], slots)
-    turn, side = (cc - rc) % n, cq - rows.astype(np.int32)[ri]  # by how many cells, and slots
     at0 = rc == 0
-    bw = int(np.abs(side[at0]).max())
+    turn, side = np.divmod(where[sub.indices], slots)  # cell and slot of each column
     broken = NumericalError(f"the mesh is not invariant under turning by one of {n} rays")
-    if n < 3 or np.any(cc < 0) or np.any(np.abs(side) > bw):
+    if n < 3 or np.any(turn < 0):
         raise broken
-    del rc, cc, cq
-    flat = (turn * len(rows) + ri) * (2 * bw + 1) + side + bw
+    turn -= rc  # by how many cells each column turns from its row, and slots
+    turn %= n
+    del rc
+    side -= rows.astype(np.int32)[ri]
+    bw = int(np.abs(side[at0]).max())
+    if np.any(np.abs(side) > bw):
+        raise broken
+    flat = turn  # (turn * len(rows) + ri) * (2 bw + 1) + side + bw
+    flat *= len(rows)
+    flat += ri
+    flat *= 2 * bw + 1
+    flat += side
+    flat += bw
     del turn, ri, side
     B = np.zeros(n * len(rows) * (2 * bw + 1))
     B[flat[at0]] = sub.data[at0]
-    dev = B[flat] - sub.data
+    dev = B[flat]
+    dev -= sub.data
+    del flat, at0
     B = B.reshape(n, len(rows), 2 * bw + 1)
     nnz = np.diff(sub.indptr).reshape(len(rows), n)
     d_b, fixed_b = d[block], fixed[block]
-    tol = 1e-12 * np.abs(K.data).max()
+    tol = 1e-12 * max(K.data.max(), -K.data.min())
     if not (
         np.all(nnz == nnz[:, :1])
         and np.all(np.abs(dev, out=dev) <= tol)
@@ -350,6 +413,7 @@ def _sector_schur(K, block, rows, elim, keep, d, fixed):
     given = np.isin(np.arange(slots + bw), rows).astype(int)
     counts = given[:slots, None] + given[np.arange(slots)[:, None] + np.arange(bw + 1)]
     U = U[:, :slots] / np.maximum(counts, 1)
+    del B, R  # U holds what the solve reads
 
     def entry(p, q):
         """(K_j)[p, q] for every sector j, broadcast over slot indices p, q."""
@@ -433,7 +497,7 @@ def steklov_spectrum(
 def _steklov(
     mesh: Mesh, count: int, dset: set[int], steklov_markers: set[int], return_modes: bool
 ):
-    K, _, dof, ndof = assemble(mesh)
+    K, dof, ndof = assemble(mesh)
     d_vec = boundary_mass(mesh, steklov_markers, dof, ndof)
 
     fixed = np.zeros(ndof, dtype=bool)
@@ -466,9 +530,12 @@ def neumann_spectrum(mesh: Mesh, count: int) -> np.ndarray:
     """First `count` Neumann eigenvalues, ascending from ~0; solved once per mesh, read-only."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    K, M, _, ndof = assemble(mesh)
+    K, _, ndof = assemble(mesh)
     if count > ndof:
         raise ConfigurationError(f"requested {count} eigenvalues of {ndof} dofs")
-    return mesh.cached(
-        ("neumann", count), lambda m: _pencil_eigs(K, M, count, 1.0 / float(M.sum()))
-    )
+
+    def solve(m: Mesh) -> np.ndarray:
+        M = mass(m)
+        return _pencil_eigs(K, M, count, 1.0 / float(M.sum()))
+
+    return mesh.cached(("neumann", count), solve)

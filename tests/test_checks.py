@@ -29,7 +29,7 @@ SIGMA1_SN = sigma_mixed(RadialMode(1, 1, 0.0), 0.5, 1.0, "Neumann")
 
 
 def _dof_coords(mesh):
-    _, _, dof, ndof = assemble(mesh)
+    _, dof, ndof = assemble(mesh)
     xy = np.zeros((ndof, 2))
     xy[dof] = mesh.vertices
     return xy, ndof

@@ -29,7 +29,7 @@ from steklov_tubes.harmonics import (
     sphere_multiplicity,
     transverse_spectrum,
 )
-from steklov_tubes.radial import RadialMode, sigma_mixed
+from steklov_tubes.radial import RadialMode, outer_condition, sigma_mixed
 
 PI = math.pi
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -132,6 +132,34 @@ def test_walk_matches_window_reference(name):
                 args = (scenario, eps, DELTA_DEFAULT, count, family_kind)
                 want = window_spectrum(*args, zeros)
                 assert truncated_spectrum(*args, include_zero_modes=zeros) == want
+
+
+@pytest.mark.parametrize("name", ["torus-2-points", "sphere-2-points", "torus3-circle"])
+def test_walk_assumptions_hold_on_listed_modes(name):
+    # the walk's completeness rests on sigma nondecreasing in q and in
+    # lam_k, and the bracket on SN <= SD; both hold on every listed mode
+    # (zero modes included) and its next q and next k, the first exactly.
+    # SN <= SD holds to 4 ulp: where sqrt(lam) delta >= 25 (torus3-circle
+    # at k >= 8) the outer condition's term falls below rounding, and SN
+    # exceeds SD by at most 2 ulp (4.4e-16 relative)
+    scenario = load_scenario(str(SCENARIOS / f"{name}.json"))
+    for family_kind in ("SN", "SD"):
+        outer = outer_condition(family_kind)
+        for eps in (1e-2, 1e-3):
+            args = (scenario, eps, DELTA_DEFAULT, 100, family_kind)
+            for m in truncated_spectrum(*args, include_zero_modes=True):
+                d = scenario.sphere_dim(m.j)
+                kind = scenario.submanifolds[m.j].kind
+                lams = [lam for lam, _ in transverse_spectrum(kind, m.k + 2)]
+
+                def sigma(q, lam, outer=outer):
+                    return sigma_mixed(RadialMode(d, q, lam), eps, DELTA_DEFAULT, outer)
+
+                assert sigma(m.q, lams[m.k]) == m.value
+                assert sigma(m.q + 1, lams[m.k]) >= m.value
+                assert all(sigma(m.q, lam) >= m.value for lam in lams[m.k + 1 :])
+                sn, sd = sigma(m.q, lams[m.k], "Neumann"), sigma(m.q, lams[m.k], "Dirichlet")
+                assert sn <= sd + 4 * math.ulp(sd)
 
 
 def test_caps_refuse_modes_beyond():

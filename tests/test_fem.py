@@ -10,6 +10,7 @@ and SD model families.  The bare unit torus has Neumann spectrum
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from steklov_tubes.fem import (
     steklov_spectrum,
 )
 from steklov_tubes.fem import solve
-from steklov_tubes.fem.solve import _boundary_eigs, _pencil_eigs, assemble, boundary_mass
+from steklov_tubes.fem.checks import dirichlet_energy_check, poincare_check
+from steklov_tubes.fem.solve import _boundary_eigs, _pencil_eigs, assemble, boundary_mass, mass
 from steklov_tubes.radial import RadialMode, sigma_mixed
 
 
@@ -90,7 +92,7 @@ def test_neumann_dense_sparse_agree():
         (mesh_planar(Disk(1.0), 0.5), 19),
     ]
     for mesh, count in cases:
-        K, M, _, _ = assemble(mesh)
+        K, M = assemble(mesh)[0], mass(mesh)
         dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[:count]
         vals = neumann_spectrum(mesh, count)
         assert list(vals) == pytest.approx(list(dense), rel=1e-8, abs=1e-8)
@@ -100,7 +102,7 @@ def _schur_reference(mesh, dirichlet=(), neumann=()):
     """Every Steklov eigenvalue from the dense Dirichlet-to-Neumann Schur
     complement on the Steklov dofs S, with the remaining free dofs I
     eliminated; also (K, d, fixed) in dof space."""
-    K, _, dof, ndof = assemble(mesh)
+    K, dof, ndof = assemble(mesh)
     markers = set(np.unique(mesh.boundary_markers).tolist())
     d = boundary_mass(mesh, markers - set(dirichlet) - set(neumann), dof, ndof)
     fixed = np.zeros(ndof, dtype=bool)
@@ -184,7 +186,7 @@ def test_steklov_lanczos_on_boundary_space(annulus_mesh, monkeypatch):
     # that does not declare its block, so that it takes this path
     mesh = dataclasses.replace(annulus_mesh, blocks=())
     steklov_spectrum(mesh, 8)
-    _, _, dof, ndof = assemble(mesh)
+    _, dof, ndof = assemble(mesh)
     n_s = int(np.count_nonzero(boundary_mass(mesh, {0, 1}, dof, ndof)))
     assert sizes == [n_s]
     assert n_s < ndof
@@ -260,11 +262,11 @@ def test_torus_pencil_matches_dense(small_torus, problem):
     # dense eigh of the same pencil: Neumann K u = lam M u directly, and
     # Steklov (D singular) as D u = mu (K + tau D) u with lam = 1/mu - tau
     mesh = small_torus
-    K, M, dof, ndof = assemble(mesh)
+    K, dof, ndof = assemble(mesh)
     if problem == "neumann":
         vals = neumann_spectrum(mesh, 8)
         ref = scipy.linalg.eigh(
-            K.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, 7]
+            K.toarray(), mass(mesh).toarray(), eigvals_only=True, subset_by_index=[0, 7]
         )
     else:
         vals = steklov_spectrum(mesh, 8)
@@ -355,7 +357,8 @@ def test_cached_spectra_are_read_only(annulus_mesh):
 
 
 def test_assemble_partition_of_unity(annulus_mesh):
-    K, M, dof, ndof = assemble(annulus_mesh)
+    K, dof, ndof = assemble(annulus_mesh)
+    M = mass(annulus_mesh)
     ones = np.ones(ndof)
     # constants are in the stiffness kernel; mass integrates the area
     assert float(np.abs(K @ ones).max()) < 1e-12
@@ -383,7 +386,7 @@ def _coo_assembly(mesh):
 
 def test_assemble_matches_coo_oracle(disk_mesh, annulus_mesh, torus_mesh):
     for mesh in (disk_mesh, annulus_mesh, torus_mesh):
-        K, M, _, _ = assemble(mesh)
+        K, M = assemble(mesh)[0], mass(mesh)
         K_ref, M_ref = _coo_assembly(mesh)
         for A, ref in ((K, K_ref), (M, M_ref)):
             # the same sorted pattern, explicit zeros included, and K and M share it
@@ -394,6 +397,47 @@ def test_assemble_matches_coo_oracle(disk_mesh, annulus_mesh, torus_mesh):
             assert np.shares_memory(A.indptr, K.indptr)
             assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
     assert len(torus_mesh.periodic_pairs) and len(np.unique(torus_mesh.boundary_markers)) == 2
+
+
+def test_mass_only_for_neumann(annulus_mesh, torus_mesh, monkeypatch):
+    # Steklov solves (sector, Lanczos and collar paths) and both energy
+    # checks with lambda_1 given read K alone; a Neumann solve builds M
+    # once, on K's own index arrays
+    built = []
+    real = solve._mass
+    monkeypatch.setattr(solve, "_mass", lambda mesh: built.append(mesh) or real(mesh))
+    for base in (annulus_mesh, dataclasses.replace(annulus_mesh, blocks=()), torus_mesh):
+        mesh = dataclasses.replace(base)
+        f = np.linspace(0.0, 1.0, mesh.dof_map()[1])
+        steklov_spectrum(mesh, 4)
+        dirichlet_energy_check(mesh, f, 1.0, marker=0)
+        poincare_check(mesh, f, [0], [1], lambda1=1.0)
+        assert built == [] and "mass" not in mesh._cache
+        neumann_spectrum(mesh, 3)
+        neumann_spectrum(mesh, 4)
+        assert built == [mesh]
+        K, M = assemble(mesh)[0], mass(mesh)
+        assert M.indices is K.indices and M.indptr is K.indptr
+        built.clear()
+
+
+# tracemalloc peak of building the h 0.01 annulus (24021 vertices) and
+# solving its Steklov spectrum, per vertex, as measured once assembly
+# built K alone (784 bytes with the mass matrix and the np.unique edge table)
+PEAK_BYTES_PER_VERTEX = 457
+
+
+def test_annulus_build_and_solve_memory():
+    steklov_spectrum(mesh_planar(Annulus(0.5, 1.0), 0.1), 8)  # first-call imports
+    tracemalloc.start()
+    try:
+        mesh = mesh_planar(Annulus(0.5, 1.0), 0.01)
+        steklov_spectrum(mesh, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_vertices == 24021
+    assert peak / mesh.num_vertices <= 1.25 * PEAK_BYTES_PER_VERTEX
 
 
 def test_boundary_mass_matches_edge_loop(annulus_mesh, torus_mesh):
@@ -423,7 +467,7 @@ def test_marker_validation(annulus_mesh):
     with pytest.raises(ValueError):
         steklov_spectrum(annulus_mesh, 0)
     # more eigenvalues than dofs, on every call: an error is never cached
-    _, _, dof, ndof = assemble(annulus_mesh)
+    _, dof, ndof = assemble(annulus_mesh)
     n_s = int(np.count_nonzero(boundary_mass(annulus_mesh, {0, 1}, dof, ndof)))
     for _ in range(2):
         with pytest.raises(ConfigurationError, match="boundary dofs"):
@@ -441,7 +485,7 @@ def test_sector_path_matches_lanczos(h, dirichlet, neumann, monkeypatch):
     # the same annulus without its block takes SuperLU and block Lanczos
     mesh = mesh_planar(Annulus(0.5, 1.0), h)
     general = dataclasses.replace(mesh, blocks=())
-    _, _, dof, ndof = assemble(mesh)
+    _, dof, ndof = assemble(mesh)
     steklov = {0, 1} - set(dirichlet) - set(neumann)
     n_s = int(np.count_nonzero(boundary_mass(mesh, steklov, dof, ndof)))
     factored = _count_factors(monkeypatch)
@@ -461,7 +505,7 @@ def test_sector_against_mpmath():
     # its interior rings are eliminated onto the circles in 30 digits
     mpmath = pytest.importorskip("mpmath")
     mesh = mesh_planar(Annulus(0.5, 1.0), 0.05)
-    K, _, dof, ndof = assemble(mesh)
+    K, dof, ndof = assemble(mesh)
     d = boundary_mass(mesh, {0, 1}, dof, ndof)
     got = solve._sector_eigs(K, d, np.zeros(ndof, dtype=bool), mesh.blocks[0])[1]
     n_t, rings = mesh.blocks[0].shape
@@ -554,7 +598,7 @@ def test_collar_path_checks_the_turn(torus_mesh):
 def test_condensed_collars_keep_zero_row_sums(torus_mesh):
     # the Schur complement of a zero-row-sum K has zero row sums; each rim
     # row's diagonal is reset to restore them after the sector solves' rounding
-    K, _, dof, ndof = assemble(torus_mesh)
+    K, dof, ndof = assemble(torus_mesh)
     d = boundary_mass(torus_mesh, {0, 1}, dof, ndof)
     blocks = [dof[block] for block in torus_mesh.blocks]
     A, d_kept, fixed = solve._condense_collars(K, d, np.zeros(ndof, dtype=bool), blocks)

@@ -18,7 +18,7 @@ from steklov_tubes.fem import (
 )
 from steklov_tubes.fem import mesh as mesh_mod
 from steklov_tubes.fem.mesh import _edge_table
-from steklov_tubes.fem.solve import assemble
+from steklov_tubes.fem.solve import assemble, mass
 
 CENTERS = ((0.25, 0.25), (0.75, 0.75))
 THREE_HOLES = (2.0, ((0.3, 1.7), (1.1, 0.2), (1.6, 1.2)))
@@ -182,16 +182,21 @@ def test_translated_holes(torus_mesh):
     assert sigma1 == pytest.approx(steklov_spectrum(torus_mesh, 2)[1], rel=1e-3)
 
 
-def test_edge_table(torus_mesh):
-    # int32 labels whose keys a*n + b pass 2**31 must not wrap
+def test_edge_table(disk_mesh, annulus_mesh, torus_mesh):
+    # int32 labels whose keys a*n + b would pass 2**31, and no triangle
     edges, inverse = _edge_table(np.array([[0, 99999, 100000]], dtype=np.int32))
     assert edges.tolist() == [[0, 99999], [0, 100000], [99999, 100000]]
     assert inverse.tolist() == [0, 2, 1]
-    # the inverse of a table under 2**31 sides is int32
-    assert inverse.dtype == np.int32
-    # same output as the row-wise unique it replaced, on vertex and dof labels
+    empty = _edge_table(np.zeros((0, 3), dtype=np.int64))
+    assert empty[0].shape == (0, 2) and empty[1].shape == (0,)
+    # the table is int64 and the inverse of a table under 2**31 sides int32
+    assert edges.dtype == np.int64 and inverse.dtype == np.int32
+    # same output as the row-wise unique, on planar meshes and on the
+    # periodic torus's vertex and dof labels
     dof, _ = torus_mesh.dof_map()
-    for tri in (torus_mesh.triangles, dof[torus_mesh.triangles]):
+    for tri in (
+        disk_mesh.triangles, annulus_mesh.triangles, torus_mesh.triangles, dof[torus_mesh.triangles]
+    ):
         sides = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
         ref = np.unique(
             np.sort(sides, axis=1),
@@ -210,7 +215,7 @@ def test_mesh_is_immutable(torus_mesh):
         torus_mesh.vertices = torus_mesh.vertices + 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         torus_mesh.blocks = ()
-    K, M, dof, _ = assemble(torus_mesh)
+    (K, dof, _), M = assemble(torus_mesh), mass(torus_mesh)
     # every field is an array but blocks, a tuple of arrays
     arrays = [getattr(torus_mesh, f.name) for f in dataclasses.fields(torus_mesh)]
     blocks = arrays.pop()
@@ -227,17 +232,17 @@ def test_mesh_is_immutable(torus_mesh):
 
 
 def test_operators_cached_per_mesh(annulus_mesh):
-    first = assemble(annulus_mesh)
-    assert all(a is b for a, b in zip(first, assemble(annulus_mesh)))
-    assert annulus_mesh.dof_map()[0] is first[2]
+    first = (*assemble(annulus_mesh), mass(annulus_mesh))
+    assert all(a is b for a, b in zip(first, (*assemble(annulus_mesh), mass(annulus_mesh))))
+    assert annulus_mesh.dof_map()[0] is first[1]
     # a copy of the mesh is a new object with its own, equal, operators
     copy = dataclasses.replace(annulus_mesh)
-    fresh = assemble(copy)
-    assert fresh[0] is not first[0]
-    for a, b in zip(first[:2], fresh[:2]):
+    fresh = (*assemble(copy), mass(copy))
+    assert fresh[0] is not first[0] and fresh[3] is not first[3]
+    for a, b in ((first[0], fresh[0]), (first[3], fresh[3])):
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
-    assert np.array_equal(first[2], fresh[2]) and first[3] == fresh[3]
+    assert np.array_equal(first[1], fresh[1]) and first[2] == fresh[2]
 
 
 def test_validate_guards_hole_polygons(torus_mesh):
