@@ -137,19 +137,14 @@ def _sums(mesh: Mesh, side: np.ndarray, corner: np.ndarray):
     return on_edges, np.bincount(corner_dof, corner.ravel(), ndof)
 
 
-def _operator(mesh: Mesh, on_edges: np.ndarray, on_dofs: np.ndarray, like=None):
-    """The symmetric CSR operator with these edge and diagonal entries.
-
-    On like's own indices and indptr when given; its arrays are read-only.
-    """
+def _operator(mesh: Mesh, on_edges: np.ndarray, on_dofs: np.ndarray) -> sparse.csr_matrix:
+    """The symmetric CSR operator with these edge and diagonal entries, read-only."""
     _, ndof = mesh.dof_map()
     indptr, indices, diag, upper, lower = _pattern(mesh.edges()[0], ndof)
     data = np.empty(len(indices))
     data[upper] = data[lower] = on_edges
     data[diag] = on_dofs
     op = sparse.csr_matrix((data, indices, indptr), shape=(ndof, ndof))
-    if like is not None:  # one pattern per mesh: hold like's arrays, not equal copies
-        op.indices, op.indptr = like.indices, like.indptr
     for arr in (op.data, op.indices, op.indptr):
         arr.flags.writeable = False
     return op
@@ -191,8 +186,10 @@ def _assemble(mesh: Mesh):
 
 def _mass(mesh: Mesh):
     area = mesh.areas()
-    on_edges, on_dofs = _sums(mesh, np.tile(area / 12.0, 3), np.tile(area / 6.0, 3))
-    return _operator(mesh, on_edges, on_dofs, like=assemble(mesh)[0])
+    M = _operator(mesh, *_sums(mesh, np.tile(area / 12.0, 3), np.tile(area / 6.0, 3)))
+    K = assemble(mesh)[0]
+    M.indices, M.indptr = K.indices, K.indptr  # one pattern per mesh, not two equal ones
+    return M
 
 
 def boundary_mass(mesh: Mesh, markers: set[int], dof: np.ndarray, ndof: int) -> np.ndarray:

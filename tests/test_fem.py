@@ -423,7 +423,8 @@ def test_mass_only_for_neumann(annulus_mesh, torus_mesh, monkeypatch):
 
 # tracemalloc peak of building the h 0.01 annulus (24021 vertices) and
 # solving its Steklov spectrum, per vertex, as measured once assembly
-# built K alone (784 bytes with the mass matrix and the np.unique edge table)
+# built K alone, numpy 2.4 and scipy 1.17 (784 bytes with the mass matrix
+# and the np.unique edge table)
 PEAK_BYTES_PER_VERTEX = 457
 
 
