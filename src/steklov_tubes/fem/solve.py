@@ -342,7 +342,7 @@ def _turn_twins(K, block, rows, d: np.ndarray, fixed: np.ndarray):
     # a block that covers the mesh in K's own order (the annulus) is read in place
     sub = K if np.array_equal(order, np.arange(K.shape[0])) else K[order]
     # per-entry int32 arrays, turned into the flat index of B in place and
-    # freed as soon as they are read: at most four live at once
+    # freed as soon as they are read
     ri, rc = np.divmod(np.repeat(np.arange(sub.shape[0], dtype=np.int32), np.diff(sub.indptr)), n)
     at0 = rc == 0
     turn, side = np.divmod(where[sub.indices], slots)  # cell and slot of each column
