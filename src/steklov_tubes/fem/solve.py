@@ -37,6 +37,16 @@ at |C y - mu y| <= RESIDUAL mu by the block estimate (tested as if it
 falls at most 100-fold a step), then by the true residual; n_s vectors
 are exact.  Modes: u = A^-1 W y / mu, so u^T B u = |y|^2.
 
+The dense steps stay in the LAPACK and BLAS that SuperLU and ARPACK
+use, scipy's.  The Ritz step is scipy's eigh with driver "evd", the same
+dsyevd that numpy's eigh runs, but numpy links its own OpenBLAS, and
+above order 25 dsyevd divides and conquers (LAPACK Users' Guide, 3rd
+ed. 1999, xSTEDC) in parallel BLAS: each Ritz step would wake numpy's
+thread pool right after SuperLU has used scipy's, and on two cores that
+hand-over can stall a step of 0.2-0.4 ms by several milliseconds.
+ARPACK returns the Neumann values alone (rvec = .false.), since no Ritz
+vector is read and _lam sorts the values.
+
 Steklov eigenvalues without modes use the mesh's ray-periodic blocks
 (Mesh.blocks): turning by one cell maps a block onto itself, so K is
 block-circulant in its cells (P. J. Davis, Circulant Matrices, 1979).
@@ -59,8 +69,9 @@ it symmetrically: symmetric mode, zero diagonal-pivot threshold and a
 minimum-degree ordering of A + A^T = A (SuperLU Users' Guide, Li,
 Demmel et al., section 2.5), which keeps the ordering symmetric and
 cuts the fill of partial pivoting by about a third.  A singular A then
-fails in the factorization; that failure, an indefinite A in eigh, and
-ARPACK running out of iterations all raise NumericalError.
+fails in the factorization; that failure, an indefinite A in eigh, a
+non-finite Lanczos block and ARPACK running out of iterations all raise
+NumericalError.
 """
 
 from __future__ import annotations
@@ -257,13 +268,14 @@ def _pencil_eigs(K, b_mat, count: int, tau: float) -> np.ndarray:
             mu, _ = eigh(b_mat.toarray(), A.toarray(), subset_by_index=[n - count, n - 1])
         else:
             lu = _factor(A)
-            mu, _ = eigsh(
+            mu = eigsh(
                 b_mat,
                 k=count,
                 M=A,
                 Minv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
                 which="LA",
                 v0=np.random.default_rng(0).standard_normal(n),
+                return_eigenvectors=False,
             )
     return _lam(mu, tau)[0]
 
@@ -275,11 +287,13 @@ def _block_lanczos(apply, n: int, count: int):
     while True:
         b, m = V.shape[1] - CV.shape[1], V.shape[1]
         CX = apply(V[:, -b:])
+        if not np.all(np.isfinite(CX)):
+            raise NumericalError("the Lanczos operator returned a non-finite block")
         CV, H = np.hstack([CV, CX]), V.T @ CX
         T = np.block([[T, H[:-b]], [H.T]])  # eigh reads the lower triangle
         R = CX - V @ H
         if m >= check_at or m == n:
-            mu, S = (a[..., : -count - 1 : -1] for a in np.linalg.eigh(T))
+            mu, S = (a[..., : -count - 1 : -1] for a in eigh(T, driver="evd"))
             ratio = np.max(np.linalg.norm(R @ S[-b:], axis=0) / (RESIDUAL * mu))
             true = np.linalg.norm(CV @ S - V @ S * mu, axis=0) if ratio <= 1 else np.inf
             if m == n or np.all(true <= RESIDUAL * mu):

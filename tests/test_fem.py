@@ -153,14 +153,35 @@ def test_steklov_boundary_solve_paths(monkeypatch):
     calls = []
     real = solve._block_lanczos
     monkeypatch.setattr(solve, "_block_lanczos", lambda *a: calls.append(a[1:]) or real(*a))
-    for name in ("eigh", "eigsh"):
-        monkeypatch.setattr(solve, name, lambda *a, _n=name, **kw: pytest.fail(f"{_n} called"))
+    real_eigh = solve.eigh
+
+    def ritz_eigh(a, *args, **kw):
+        # the Ritz step's one-matrix eigh of at most n_s rows; never the dense pencil
+        if args or kw.get("b") is not None or a.shape[0] > n_s:
+            pytest.fail(f"dense pencil eigh called on {a.shape}")
+        return real_eigh(a, *args, **kw)
+
+    monkeypatch.setattr(solve, "eigh", ritz_eigh)
+    monkeypatch.setattr(solve, "eigsh", lambda *a, **kw: pytest.fail("eigsh called"))
     for count in (1, n_s - 2, n_s - 1, n_s):
         calls.clear()
         vals, modes = steklov_spectrum(mesh, count, return_modes=True)
         assert calls == [(n_s, count)], count
         assert list(vals) == pytest.approx(list(ref[:count]), rel=1e-10, abs=1e-10)
         _check_modes(mesh, vals, modes, K, d, fixed)
+
+
+def test_steklov_solves_call_no_numpy_eigh(disk_mesh, monkeypatch):
+    # the Ritz step runs scipy's eigh, in the BLAS that SuperLU uses: the
+    # Lanczos disk, the condensed collars of criterion 3 and a modes solve
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: pytest.fail("np.linalg.eigh called"))
+    disk = dataclasses.replace(disk_mesh)
+    torus = mesh_torus_minus_disks(1.0, TORUS_CENTERS, 0.03, 0.005)
+    assert torus.blocks
+    assert steklov_spectrum(disk, 7)[1] == pytest.approx(1.0, rel=4e-3)
+    assert 0.0 <= steklov_spectrum(torus, 10)[0] <= 1e-10
+    vals, modes = steklov_spectrum(disk, 3, return_modes=True)
+    assert modes.shape == (disk.num_vertices, 3)
 
 
 def test_steklov_lanczos_on_boundary_space(annulus_mesh, monkeypatch):
@@ -309,6 +330,25 @@ def test_pencil_failures_are_numerical(monkeypatch, capsys):
     # and the CLI exits 2 instead of raising
     assert main(["fem", "--domain", "disk", "--h", "0.2", "--count", "4", "--neumann"]) == 2
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "numerical"
+
+
+def test_neumann_pencil_returns_no_ritz_vectors(small_torus, monkeypatch):
+    # ARPACK forms no Ritz vectors, and the 2-hole torus spectrum is the
+    # one computed with them, bit for bit
+    real, calls = solve.eigsh, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["return_eigenvectors"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "eigsh", spy)
+    vals = neumann_spectrum(dataclasses.replace(small_torus), 9)
+    assert calls == [False]
+    monkeypatch.setattr(
+        solve, "eigsh", lambda *a, **kw: real(*a, **{**kw, "return_eigenvectors": True})[0]
+    )
+    ref = neumann_spectrum(dataclasses.replace(small_torus), 9)
+    assert vals.tobytes() == ref.tobytes()
 
 
 def _count_factors(monkeypatch):
