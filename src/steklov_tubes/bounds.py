@@ -95,7 +95,7 @@ def lower_bound_check(
     scenario: ExcisionScenario, eps: float, sigma1: float, slack: float = 0.0
 ) -> LowerBoundCheck:
     """Does a computed sigma_1 respect C * eps^{-1/(m+1)} (up to slack)?"""
-    for name, value in (("eps", eps), ("sigma1", sigma1)):
+    for name, value in (("eps", eps), ("sigma1", sigma1), ("slack", slack)):
         if not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
     if eps <= 0:

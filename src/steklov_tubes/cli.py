@@ -43,6 +43,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -193,6 +194,8 @@ def _parse_centers(specs: list[str]) -> list[tuple[float, float]]:
             centers.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise ConfigurationError(f"bad center {spec!r}: {exc}") from exc
+        if not all(map(math.isfinite, centers[-1])):
+            raise ConfigurationError(f"center {spec!r} must be finite")
     return centers
 
 
@@ -203,13 +206,18 @@ def _cmd_fem(args) -> int:
         if args.eps is None:
             raise ConfigurationError("--eps is required for the torus domain")
         centers = _parse_centers(args.centers)
-        markers = set(range(len(centers)))
+        markers, eps_col = set(range(len(centers))), args.eps
+        build = functools.partial(fem.mesh_torus_minus_disks, args.side, centers, args.eps)
     else:
         if args.eps is not None:
             raise ConfigurationError(
                 f"--eps is the torus hole radius; drop it for the {args.domain} domain"
             )
-        markers = {1} if args.domain == "disk" else {0, 1}
+        if args.domain == "disk":
+            markers, shape = {1}, fem.Disk(args.radius)
+        else:
+            markers, shape = {0, 1}, fem.Annulus(args.r_in, args.r_out)
+        eps_col, build = "", functools.partial(fem.mesh_planar, shape)
     # refuse what the solvers would refuse or ignore before the mesh is built
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
@@ -220,15 +228,7 @@ def _cmd_fem(args) -> int:
             "--neumann solves without boundary conditions; "
             "drop --dirichlet-markers and --neumann-markers"
         )
-    if args.domain == "disk":
-        mesh = fem.mesh_planar(fem.Disk(args.radius), args.h)
-        eps_col: float | str = ""
-    elif args.domain == "annulus":
-        mesh = fem.mesh_planar(fem.Annulus(args.r_in, args.r_out), args.h)
-        eps_col = ""
-    else:
-        mesh = fem.mesh_torus_minus_disks(args.side, centers, args.eps, args.h)
-        eps_col = args.eps
+    mesh = build(args.h)
     print(
         f"# mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles",
         file=sys.stderr,

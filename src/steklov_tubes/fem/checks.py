@@ -1,11 +1,13 @@
 """Discrete versions of the energy inequalities behind the eigenvalue bounds.
 
 Each check evaluates both sides of an inequality on a concrete mesh and
-function and reports whether it holds with a small slack.  The slack
-absorbs quadrature of the boundary terms on polygonal circles; the
-structural steps of the proofs (restriction of the Dirichlet energy,
+function and reports whether it holds up to the fixed relative slack
+ENERGY_SLACK, which CheckResult.slack reports.  The slack absorbs
+quadrature of the boundary terms on polygonal circles; the structural
+steps of the proofs (restriction of the Dirichlet energy,
 Cauchy-Schwarz, parallelogram) are exact for P1 functions, so failures
-indicate real bugs rather than discretization noise.
+indicate real bugs rather than discretization noise.  The eigenvalue
+each check is given must be finite and positive.
 
 dirichlet_energy_check: for any f on a mesh containing the collar
 A(eps, delta) around a hole,
@@ -56,7 +58,6 @@ def dirichlet_energy_check(
     f: np.ndarray,
     sigma1_sn: float,
     marker: int = 0,
-    slack: float = ENERGY_SLACK,
 ) -> CheckResult:
     """Check the collar energy bound; f lives in dof space.
 
@@ -64,8 +65,8 @@ def dirichlet_energy_check(
     collar whose Steklov circle carries `marker`, supplied by the
     radial solver (sigma_mixed of the matching annulus).
     """
-    if sigma1_sn <= 0:
-        raise ConfigurationError(f"sigma1_sn must be > 0, got {sigma1_sn}")
+    if not 0 < sigma1_sn < math.inf:
+        raise ConfigurationError(f"sigma1_sn must be finite and > 0, got {sigma1_sn}")
     K, dof, ndof = assemble(mesh)
     f = np.asarray(f, dtype=float)
     if f.shape != (ndof,):
@@ -78,7 +79,8 @@ def dirichlet_energy_check(
     mean = float(w @ fb) / float(w.sum())
     lhs = float(f @ (K @ f))
     rhs = sigma1_sn * float(w @ (fb - mean) ** 2)
-    return CheckResult("dirichlet_energy", lhs >= rhs * (1.0 - slack), lhs, rhs, slack)
+    holds = lhs >= rhs * (1.0 - ENERGY_SLACK)
+    return CheckResult("dirichlet_energy", holds, lhs, rhs, ENERGY_SLACK)
 
 
 def poincare_check(
@@ -87,9 +89,10 @@ def poincare_check(
     tris_a: np.ndarray,
     tris_b: np.ndarray,
     lambda1: float | None = None,
-    slack: float = ENERGY_SLACK,
 ) -> CheckResult:
     """Check the two-region mean-gap bound; f lives in dof space."""
+    if lambda1 is not None and not 0 < lambda1 < math.inf:
+        raise ConfigurationError(f"lambda1 must be finite and > 0, got {lambda1}")
     tris_a = np.asarray(tris_a, dtype=np.int64)
     tris_b = np.asarray(tris_b, dtype=np.int64)
     if len(tris_a) == 0 or len(tris_b) == 0:
@@ -114,7 +117,8 @@ def poincare_check(
     mu_b, mean_b = region(tris_b)
     lhs = float(f @ (K @ f))
     rhs = 0.5 * lambda1 * min(mu_a, mu_b) * (mean_a - mean_b) ** 2
-    return CheckResult("poincare", lhs >= rhs * (1.0 - slack), lhs, rhs, slack)
+    holds = lhs >= rhs * (1.0 - ENERGY_SLACK)
+    return CheckResult("poincare", holds, lhs, rhs, ENERGY_SLACK)
 
 
 @dataclass(frozen=True)

@@ -230,13 +230,8 @@ class Mesh:
         _, ndof = self.dof_map()
         return ndof - len(self.edges()[0]) + self.num_triangles
 
-    def boundary_length(self, marker: int | None = None) -> float:
-        sel = (
-            slice(None)
-            if marker is None
-            else np.flatnonzero(self.boundary_markers == marker)
-        )
-        e = self.boundary_edges[sel]
+    def boundary_length(self, marker: int) -> float:
+        e = self.boundary_edges[self.boundary_markers == marker]
         d = self.vertices[e[:, 0]] - self.vertices[e[:, 1]]
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
@@ -550,12 +545,10 @@ def mesh_torus_minus_disks(
     # later ring carries n_c = 2*n_b vertices, turned by half a step on
     # alternate rings, and consecutive rings are stitched into strips
     n_c = 2 * n_b
-    ring_tops = []
-    holes, outer, strips, blocks = [], [], [], []
+    ring_tops, strips, blocks = [], [], []
     for c in frame:
         ang = 2.0 * math.pi * np.arange(n_b) / n_b
         ring = add(_ring(c, eps, ang))
-        holes.append(ring)
         cells = [ring[:, None]]
         band = (1.0 + _COLLAR_BAND) * eps
         collar_end = min(
@@ -582,7 +575,6 @@ def mesh_torus_minus_disks(
             strips.append(_stitch(ring, ang, nxt, nxt_ang))
             cells.append(nxt.reshape(n_b, 2))
             ring, ang = nxt, nxt_ang
-        outer.append(ring)
         blocks.append(np.hstack(cells))
         ring_tops.append(r)
 
@@ -606,6 +598,9 @@ def mesh_torus_minus_disks(
     # whose corners all lie on one outermost ring is inside that collar,
     # which the strips fill; 2-D Delaunay simplices are counterclockwise
     pts = np.concatenate(points)
+    # a collar's outermost ring is its block's last two slots: collar_end >
+    # eps + h/2, so every collar has a ring past its polygon
+    outer = [block[:, -2:].ravel() for block in blocks]
     bg = np.concatenate([np.arange(right[-1] + 1), *outer, hex_idx])
     label = np.full(len(pts), -1)
     for j, ring in enumerate(outer):
@@ -613,7 +608,7 @@ def mesh_torus_minus_disks(
     simp = bg[Delaunay(pts[bg]).simplices]
     on = label[simp]
     simp = simp[(on[:, 0] < 0) | (on[:, 0] != on[:, 1]) | (on[:, 1] != on[:, 2])]
-    rings = np.array(holes, dtype=np.int64).reshape(b, n_b)
+    rings = np.array([block[:, 0] for block in blocks], dtype=np.int64).reshape(b, n_b)
 
     # hole j's boundary is its polygon, marked j
     be = np.stack([rings, np.roll(rings, -1, axis=1)], axis=-1).reshape(-1, 2)

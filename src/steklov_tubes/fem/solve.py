@@ -167,26 +167,19 @@ def _stiffness_entries(mesh: Mesh):
     e_i is the side opposite corner i (from corner i + 1 to i + 2), and
     grad phi_i = perp(e_i) / (2A).  Side k of _edge_table joins corners k
     and k + 1, so its entry is e_k . e_(k+1) / (4A), and the diagonal
-    entry of corner k is |e_k|^2 / (4A).  Each e_k is gathered once, one
-    coordinate difference at a time.
+    entry of corner k is |e_k|^2 / (4A).
     """
     area = mesh.areas()
     if np.any(area <= 0):
         raise NumericalError("assembly requires CCW triangles with positive area")
-    x, y, corners = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.triangles.T
+    x, y, (a, b, c) = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.triangles.T
     w = 0.25 / area
     side, diag = np.empty((3, len(area))), np.empty((3, len(area)))
-
-    def e(i):
-        start, end = corners[(i + 1) % 3], corners[(i + 2) % 3]
-        return x[end] - x[start], y[end] - y[start]
-
-    first = ex, ey = e(0)
+    e = [(x[end] - x[start], y[end] - y[start]) for start, end in ((b, c), (c, a), (a, b))]
     for k in range(3):
-        nx, ny = e(k + 1) if k < 2 else first
+        (ex, ey), (nx, ny) = e[k], e[(k + 1) % 3]
         side[k] = (ex * nx + ey * ny) * w
         diag[k] = (ex**2 + ey**2) * w
-        ex, ey = nx, ny
     return side, diag
 
 

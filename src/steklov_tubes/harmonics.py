@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigurationError
 
@@ -53,55 +53,67 @@ def sphere_volume(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# transverse manifolds N_j
+# transverse manifolds N_j: each kind names its JSON tag and its dimension
+# n, and coerces its fields as the JSON decoder needs; _KINDS maps the tags
+# back to the classes
 
 
 @dataclass(frozen=True)
 class Point:
     """A single point (n = 0); its only transverse eigenvalue is 0."""
 
+    tag = "point"
+    dim = 0
+
 
 @dataclass(frozen=True)
 class Circle:
+    """A circle of the given length (n = 1)."""
+
     length: float
+    tag = "circle"
+    dim = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "length", float(self.length))
         if not (self.length > 0):
             raise ConfigurationError(f"circle length must be > 0, got {self.length}")
 
 
 @dataclass(frozen=True)
 class RoundSphere:
+    """A round sphere S^dim of the given radius (n = dim)."""
+
     dim: int
     radius: float
+    tag = "round_sphere"
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "radius", float(self.radius))
         if self.dim < 1 or not (self.radius > 0):
             raise ConfigurationError(f"bad round sphere {self!r}")
 
 
 @dataclass(frozen=True)
 class FlatTorus:
+    """A flat torus with the given side lengths (n = len(sides))."""
+
     sides: tuple[float, ...]
+    tag = "flat_torus"
 
     def __post_init__(self):
+        object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
         if len(self.sides) < 1 or not all(s > 0 for s in self.sides):
             raise ConfigurationError(f"bad flat torus {self!r}")
 
+    @property
+    def dim(self) -> int:
+        return len(self.sides)
+
 
 SpectrumKind = Point | Circle | RoundSphere | FlatTorus
-
-
-def _kind_dim(kind: SpectrumKind) -> int:
-    if isinstance(kind, Point):
-        return 0
-    if isinstance(kind, Circle):
-        return 1
-    if isinstance(kind, RoundSphere):
-        return kind.dim
-    if isinstance(kind, FlatTorus):
-        return len(kind.sides)
-    raise TypeError(f"unknown spectrum kind {kind!r}")
+_KINDS = {kind.tag: kind for kind in (Point, Circle, RoundSphere, FlatTorus)}
 
 
 def _torus_spectrum(sides: tuple[float, ...], count: int) -> list[tuple[float, int]]:
@@ -170,10 +182,11 @@ class SubmanifoldSpec:
             raise ConfigurationError(f"dim must be >= 0, got {self.dim}")
         if self.volume <= 0:
             raise ConfigurationError(f"volume must be > 0, got {self.volume}")
-        kd = _kind_dim(self.kind)
-        if kd != self.dim:
+        if not isinstance(self.kind, SpectrumKind):
+            raise TypeError(f"unknown spectrum kind {self.kind!r}")
+        if self.kind.dim != self.dim:
             raise ConfigurationError(
-                f"kind {self.kind!r} has dimension {kd}, spec says {self.dim}"
+                f"kind {self.kind!r} has dimension {self.kind.dim}, spec says {self.dim}"
             )
 
 
@@ -233,32 +246,14 @@ class ModeEigenvalue:
 # JSON serialization
 
 
-def _kind_to_json(kind: SpectrumKind) -> dict:
-    if isinstance(kind, Point):
-        return {"type": "point"}
-    if isinstance(kind, Circle):
-        return {"type": "circle", "length": kind.length}
-    if isinstance(kind, RoundSphere):
-        return {"type": "round_sphere", "dim": kind.dim, "radius": kind.radius}
-    if isinstance(kind, FlatTorus):
-        return {"type": "flat_torus", "sides": list(kind.sides)}
-    raise TypeError(f"unknown spectrum kind {kind!r}")
-
-
 def _kind_from_json(obj: dict) -> SpectrumKind:
     try:
-        t = obj["type"]
-        if t == "point":
-            return Point()
-        if t == "circle":
-            return Circle(length=float(obj["length"]))
-        if t == "round_sphere":
-            return RoundSphere(dim=int(obj["dim"]), radius=float(obj["radius"]))
-        if t == "flat_torus":
-            return FlatTorus(sides=tuple(float(s) for s in obj["sides"]))
+        kind = _KINDS.get(obj["type"])
+        if kind is not None:
+            return kind(**{f.name: obj[f.name] for f in fields(kind)})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed kind object {obj!r}") from exc
-    raise ConfigurationError(f"unknown kind type {t!r}")
+    raise ConfigurationError(f"unknown kind type {obj['type']!r}")
 
 
 def scenario_to_json(scenario: ExcisionScenario) -> dict:
@@ -266,7 +261,7 @@ def scenario_to_json(scenario: ExcisionScenario) -> dict:
         "m": scenario.m,
         "lambda1_M": scenario.lambda1_M,
         "submanifolds": [
-            {"dim": s.dim, "volume": s.volume, "kind": _kind_to_json(s.kind)}
+            {"dim": s.dim, "volume": s.volume, "kind": {"type": s.kind.tag, **asdict(s.kind)}}
             for s in scenario.submanifolds
         ],
     }

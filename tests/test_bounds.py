@@ -86,7 +86,8 @@ def test_lower_bound_check():
     with pytest.raises(ValueError):
         lower_bound_check(sc, 0.0, 1.0)
     # a NaN or infinite argument is refused by name, not reported as a check
-    for args, name in (((math.inf, 1.0), "eps"), ((eps, math.nan), "sigma1")):
+    for args, name in (((math.inf, 1.0), "eps"), ((eps, math.nan), "sigma1"),
+                       ((eps, 1.0, math.nan), "slack"), ((eps, 1.0, math.inf), "slack")):
         with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
             lower_bound_check(sc, *args)
 

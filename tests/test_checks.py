@@ -8,6 +8,7 @@ two-region Poincare gap.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -71,8 +72,9 @@ def test_energy_equality_at_first_eigenfunction(annulus_mesh):
 def test_energy_validation(annulus_mesh):
     _, ndof = _dof_coords(annulus_mesh)
     f = np.ones(ndof)
-    with pytest.raises(ConfigurationError):
-        dirichlet_energy_check(annulus_mesh, f, 0.0)
+    for sigma1_sn in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="sigma1_sn"):
+            dirichlet_energy_check(annulus_mesh, f, sigma1_sn)
     with pytest.raises(ConfigurationError):
         dirichlet_energy_check(annulus_mesh, f[:-1], SIGMA1_SN)
     with pytest.raises(ConfigurationError):
@@ -95,6 +97,11 @@ def test_poincare_validation(torus_mesh):
         poincare_check(torus_mesh, f, np.array([], dtype=int), np.array([0]))
     with pytest.raises(ConfigurationError):
         poincare_check(torus_mesh, f, np.array([0, 1]), np.array([1, 2]))
+    # a supplied lambda_1 must be a positive number; a negative one made
+    # the bound hold for any f
+    for lambda1 in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="lambda1"):
+            poincare_check(torus_mesh, f, np.array([0]), np.array([1]), lambda1)
 
 
 def test_scaling_ratio(disk_mesh):

@@ -103,16 +103,23 @@ def test_exit_codes(capsys, tmp_path):
     # "# mesh:" line and no other output precedes the error
     missing = tmp_path / "no-such-dir"
     # a NaN or infinite number is refused, by the argument's name
-    non_finite = {
-        "sigma1": ["bounds", "--scenario", TORUS, "--eps", "0.01", "--sigma1", "nan",
-                   "--format", "json"],
-        "eps": ["bounds", "--scenario", TORUS, "--eps", "inf", "--sigma1", "5.0",
-                "--format", "json"],
-        "h=nan": ["fem", "--domain", "annulus", "--h", "nan"],
-        "side": ["fem", "--domain", "torus", "--side", "nan", "--h", "0.01", "--eps", "0.05"],
-    }
+    checks = ["bounds", "--scenario", TORUS, "--eps", "0.01", "--sigma1", "30", "--format", "json"]
+    torus = ["fem", "--domain", "torus", "--h", "0.01", "--eps", "0.05", "--centers"]
+    non_finite = [
+        ("sigma1", ["bounds", "--scenario", TORUS, "--eps", "0.01", "--sigma1", "nan",
+                    "--format", "json"]),
+        ("eps", ["bounds", "--scenario", TORUS, "--eps", "inf", "--sigma1", "5.0",
+                 "--format", "json"]),
+        ("slack", [*checks, "--slack", "nan"]),
+        ("slack", [*checks, "--slack", "inf"]),
+        ("h=nan", ["fem", "--domain", "annulus", "--h", "nan"]),
+        ("side", ["fem", "--domain", "torus", "--side", "nan", "--h", "0.01", "--eps", "0.05"]),
+        # before the offset search and the collars, so with no warning
+        ("center", [*torus, "nan,0.5", "0.75,0.75"]),
+        ("center", [*torus, "0.25,0.25", "0.75,inf"]),
+    ]
     for argv in (
-        *non_finite.values(),
+        *(argv for _, argv in non_finite),
         ["bounds", "--scenario", str(SCENARIOS)],
         ["fem", "--domain", "disk", "--h", "0.02", "--out", str(missing / "x.csv")],
         ["fem", "--domain", "disk", "--h", "0.5", "--out", str(tmp_path)],
@@ -142,7 +149,7 @@ def test_exit_codes(capsys, tmp_path):
         assert out == "", argv
         assert len(err.splitlines()) == 1, argv
         assert json.loads(err)["error"] == "configuration", argv
-    for name, argv in non_finite.items():
+    for name, argv in non_finite:
         assert main(argv) == 1
         assert name in json.loads(capsys.readouterr().err)["message"], argv
     # the disk's circle carries marker 1, as on the mesh

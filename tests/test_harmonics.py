@@ -92,6 +92,8 @@ def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         # declared dim disagrees with the kind
         SubmanifoldSpec(2, 1.0, Circle(2 * PI))
+    with pytest.raises(TypeError):
+        SubmanifoldSpec(0, 1.0, "point")
     # each kind refuses a size that is not > 0, nan included
     for bad in (lambda: Circle(-1.0), lambda: Circle(math.nan), lambda: RoundSphere(0, 1.0),
                 lambda: RoundSphere(2, 0.0), lambda: RoundSphere(2, math.nan),
@@ -115,18 +117,67 @@ def test_scenario_sphere_dim():
     assert scenario.sphere_dim(1) == 1
 
 
+FOUR_KINDS_TEXT = """{
+  "m": 4,
+  "lambda1_M": 2.5,
+  "submanifolds": [
+    {
+      "dim": 0,
+      "volume": 1.0,
+      "kind": {
+        "type": "point"
+      }
+    },
+    {
+      "dim": 1,
+      "volume": 3.0,
+      "kind": {
+        "type": "circle",
+        "length": 3.0
+      }
+    },
+    {
+      "dim": 2,
+      "volume": 3.141592653589793,
+      "kind": {
+        "type": "round_sphere",
+        "dim": 2,
+        "radius": 0.5
+      }
+    },
+    {
+      "dim": 2,
+      "volume": 2.0,
+      "kind": {
+        "type": "flat_torus",
+        "sides": [
+          1.0,
+          2.0
+        ]
+      }
+    }
+  ]
+}
+"""
+
+
 def test_scenario_json_roundtrip(tmp_path):
+    # every kind goes through both JSON directions and through a file,
+    # whose text is pinned
     scenario = ExcisionScenario(
-        m=3,
-        lambda1_M=4.0 * PI**2,
+        m=4,
+        lambda1_M=2.5,
         submanifolds=(
-            SubmanifoldSpec(1, 1.0, Circle(1.0)),
             SubmanifoldSpec(0, 1.0, Point()),
+            SubmanifoldSpec(1, 3.0, Circle(3.0)),
+            SubmanifoldSpec(2, PI, RoundSphere(2, 0.5)),
+            SubmanifoldSpec(2, 2.0, FlatTorus((1.0, 2.0))),
         ),
     )
     assert scenario_from_json(scenario_to_json(scenario)) == scenario
     path = tmp_path / "scenario.json"
     save_scenario(scenario, str(path))
+    assert path.read_text() == FOUR_KINDS_TEXT
     assert load_scenario(str(path)) == scenario
 
 
@@ -137,6 +188,14 @@ def test_scenario_json_rejects_garbage():
         scenario_from_json(
             {"m": 2, "lambda1_M": 1.0, "submanifolds": [{"dim": 0}]}
         )
+    # kind objects: unknown tag, missing field, field of the wrong type
+    for kind in ({"type": "blob"}, {"type": "circle"},
+                 {"type": "round_sphere", "dim": "two", "radius": 1.0}, ["point"]):
+        with pytest.raises(ConfigurationError, match="kind"):
+            scenario_from_json(
+                {"m": 4, "lambda1_M": 1.0,
+                 "submanifolds": [{"dim": 0, "volume": 1.0, "kind": kind}]}
+            )
 
 
 def test_mode_eigenvalue_family_validation():
