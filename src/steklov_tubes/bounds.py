@@ -98,6 +98,8 @@ def lower_bound_check(
     for name, value in (("eps", eps), ("sigma1", sigma1), ("slack", slack)):
         if not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+    if not 0 <= slack < 1:  # slack >= 1 makes every check hold
+        raise ConfigurationError(f"slack must be in [0, 1), got {slack}")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     report = constant_C(scenario)

@@ -115,13 +115,6 @@ def _check_size(estimate, *args) -> None:
 # like powers of eps/r and are meshed self-similarly.
 _COLLAR_BAND = 0.5
 
-# A collar is a block only where h >= _TURN_SPACINGS * spacing(X), X its
-# largest coordinate.  Rounding moves the stiffness twins fem.solve compares
-# by up to about 1.7 spacing(X)/h of max|K| (measured on random layouts), at
-# most about 0.4 of its 1e-12 max|K| there.  A finer collar is solved whole.
-_TURN_SPACINGS = 2.0**42
-
-
 @dataclass(frozen=True)
 class Disk:
     radius: float
@@ -147,11 +140,12 @@ class Mesh:
     gives a new mesh with a fresh cache.
 
     blocks declares ray-periodic parts: a block is a (cells x slots) grid
-    of vertex indices, and turning by one cell maps row c onto row c + 1.
-    The annulus's one block covers the mesh (cell k is ray k, slot i ring
-    i); on the torus, cell c of a collar holds polygon vertex c (slot 0)
-    and vertices 2c and 2c + 1 of each later ring.  fem.solve checks a
-    declaration against the assembled stiffness before it relies on it.
+    of vertex indices, and turning counterclockwise by 2 pi / cells about
+    the centroid of slot 0 maps row c onto row c + 1.  The annulus's one
+    block covers the mesh (cell k is ray k, slot i ring i); on the torus,
+    cell c of a collar holds polygon vertex c (slot 0) and vertices 2c
+    and 2c + 1 of each later ring.  fem.solve checks a declaration on the
+    mesh itself, its triangles and coordinates, before it relies on it.
     save does not write it, so a loaded mesh takes the general solver.
     """
 
@@ -618,8 +612,7 @@ def mesh_torus_minus_disks(
         be,
         np.repeat(np.arange(b, dtype=np.int64), n_b),
         np.array(pairs, dtype=np.int64).reshape(-1, 2),
-        tuple(block for block in blocks
-              if h >= _TURN_SPACINGS * np.spacing(np.abs(pts[block] + off).max())),
+        tuple(blocks),
     )
     mesh.validate()
     chi = mesh.euler_characteristic()

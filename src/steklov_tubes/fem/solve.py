@@ -52,11 +52,16 @@ Steklov eigenvalues without modes use the mesh's ray-periodic blocks
 block-circulant in its cells (P. J. Davis, Circulant Matrices, 1979).
 The Fourier sector j, u_c = v w^(jc) with w = exp(2 pi i / n), turns it
 into a banded Hermitian K_j on the slots, and one banded solve over all
-sectors eliminates chosen slots (_sector_schur).  The annulus's one
-block covers the mesh (cells are rays, slots rings): the interior and
-Neumann rings are eliminated onto the at most two Steklov rings, whose
-batched D^-1/2 S_j D^-1/2 give the eigenvalues with no sparse
-factorization.  On the torus, rings 1..R-1 of each collar are
+sectors eliminates chosen slots (_sector_schur).  The circulant rows are
+read from the triangles touching cell 0 alone, summed as assemble sums
+them (_circulant_rows), once the declaration is checked on the mesh
+itself: exactly on the triangles' (cell, slot) labels, and to TURN_ULPS
+on the coordinates, so the check does not tighten as h falls.  The
+annulus's one block covers the mesh (cells are rays, slots rings), and
+it assembles no K: the interior and Neumann rings are eliminated onto
+the at most two Steklov rings, whose batched D^-1/2 S_j D^-1/2 give the
+eigenvalues with no sparse factorization.  On the torus, K is assembled
+as for any mesh, rings 1..R-1 of each collar are read from cell 0 and
 eliminated onto the polygon and the outer ring R; an inverse DFT turns
 the 3 x 3 Schur complements into one dense rim block that replaces the
 rings in K, and the general path solves the reduced K with the same
@@ -88,6 +93,7 @@ from .mesh import Mesh
 
 BLOCK = 2  # Steklov Lanczos block size
 RESIDUAL = 1e-10  # relative residual of every Steklov Ritz pair
+TURN_ULPS = 64  # spacings of its largest coordinate a turned block vertex may move
 
 
 def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, np.ndarray, int]:
@@ -161,18 +167,18 @@ def _operator(mesh: Mesh, on_edges: np.ndarray, on_dofs: np.ndarray) -> sparse.c
     return op
 
 
-def _stiffness_entries(mesh: Mesh):
-    """(3, nt) side and diagonal stiffness entries of each triangle.
+def _stiffness_entries(mesh: Mesh, tri=slice(None)):
+    """(3, len(tri)) side and diagonal stiffness entries of the triangles tri.
 
     e_i is the side opposite corner i (from corner i + 1 to i + 2), and
     grad phi_i = perp(e_i) / (2A).  Side k of _edge_table joins corners k
     and k + 1, so its entry is e_k . e_(k+1) / (4A), and the diagonal
     entry of corner k is |e_k|^2 / (4A).
     """
-    area = mesh.areas()
+    area = mesh.areas()[tri]
     if np.any(area <= 0):
         raise NumericalError("assembly requires CCW triangles with positive area")
-    x, y, (a, b, c) = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.triangles.T
+    x, y, (a, b, c) = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.triangles[tri].T
     w = 0.25 / area
     side, diag = np.empty((3, len(area))), np.empty((3, len(area)))
     e = [(x[end] - x[start], y[end] - y[start]) for start, end in ((b, c), (c, a), (a, b))]
@@ -335,70 +341,118 @@ def _boundary_eigs(K, d: np.ndarray, count: int, tau: float, return_modes: bool 
     return vals, x / np.linalg.norm(Wt @ x, axis=0)
 
 
-def _turn_twins(K, block, rows, d: np.ndarray, fixed: np.ndarray):
+def _cyclic_keys(label: np.ndarray, size: int) -> np.ndarray:
+    """int64 keys of (3, m) triangle labels in [-1, size), size < 2**20.
+
+    Each triangle is turned to start at its smallest label, so that the
+    key names it with its corners' cyclic order, whichever corner a list
+    starts at.
+    """
+    x, y, z = label
+    a = np.minimum(np.minimum(x, y), z)
+    b = np.where(a == x, y, np.where(a == y, z, x))
+    key = a.astype(np.int64)
+    key *= size
+    key += b
+    key *= size
+    key += x + y + z - a - b
+    return key
+
+
+def _circulant_rows(mesh: Mesh, block, rows, d: np.ndarray, fixed: np.ndarray):
     """B[t, i, bw + s] = K[(0, rows[i]), (t, rows[i] + s)], (cell, slot) in block.
 
-    Raises NumericalError unless each entry in the K rows of the `rows`
-    slots lies in the block and equals its twin in cell 0 to 1e-12
-    max|K|, those rows sum to zero, and d and fixed are alike in all cells.
+    Read from the triangles touching the `rows` slots of cell 0 and summed
+    in assemble's order, so B holds K's own entries.  Raises NumericalError
+    unless the mesh bears out the declaration: the block's vertices are
+    dofs of their own; every triangle with a corner in the `rows` slots
+    lies in the block, and turning by one cell maps it onto a triangle of
+    the mesh with its corners in the same cyclic order (exact, on int32
+    (cell, slot) labels); every block vertex is its cell-0 twin turned by
+    2 pi c / n about the slot-0 centroid, to TURN_ULPS spacings of the
+    block's largest coordinate; B's rows sum to zero; and d and fixed are
+    alike in all cells.
     """
     n, slots = block.shape
-    where = np.full(K.shape[0], -1, dtype=np.int32)
-    where[block] = np.arange(block.size, dtype=np.int32).reshape(block.shape)
-    order = block[:, rows].T.ravel()  # slot rows[i] of cell c in row i*n + c
-    # a block that covers the mesh in K's own order (the annulus) is read in place
-    sub = K if np.array_equal(order, np.arange(K.shape[0])) else K[order]
-    # per-entry int32 arrays, turned into the flat index of B in place and
-    # freed as soon as they are read
-    ri, rc = np.divmod(np.repeat(np.arange(sub.shape[0], dtype=np.int32), np.diff(sub.indptr)), n)
-    at0 = rc == 0
-    turn, side = np.divmod(where[sub.indices], slots)  # cell and slot of each column
+    size = block.size
+    if size >= 2**20:
+        raise NumericalError(f"a block of {size} vertices is too large for the turn check")
+    on_rows = np.zeros(mesh.num_vertices, dtype=bool)
+    on_rows[block[:, rows]] = True
+    corners = mesh.triangles.T
+    touch = on_rows[corners[0]] | on_rows[corners[1]] | on_rows[corners[2]]
+    del on_rows
+    where = np.full(mesh.num_vertices, -1, dtype=np.int32)  # c * slots + s at (cell c, slot s)
+    where[block] = np.arange(size, dtype=np.int32).reshape(block.shape)
+    # corner k of each touching triangle in row k; the annulus's are all of them
+    label = where[corners if touch.all() else np.compress(touch, mesh.triangles, axis=0).T]
+    del where
+    zero = label < slots
+    local = np.flatnonzero(zero[0] | zero[1] | zero[2])  # corners in cell 0, or off the block
+    first = np.flatnonzero(touch)[local]
+    cell, slot = np.divmod(label[:, local], slots)
+    del zero, touch
+    # turning adds slots to every label off the last cell, and so the same
+    # to a key; a triangle with a corner in the last cell is turned anew.
+    # A corner off the block (-1) makes a key < 0, which no turned key is
+    key = _cyclic_keys(label, size)
+    last = label >= size - slots
+    wraps = np.flatnonzero(last[0] | last[1] | last[2])
+    del last
+    turned = label[:, wraps] + slots
+    turned[turned >= size] -= size
+    key_turned = key + slots * (size * size + size + 1)
+    key_turned[wraps] = _cyclic_keys(turned, size)
+
+    z = mesh.vertices[block].view(complex)[..., 0]  # (n, slots), x + iy
+    center = z[:, 0].mean()
+    moved = np.exp(2j * np.pi * np.arange(n) / n)[:, None] * (z[0] - center)
+    moved += center
+    moved -= z
+    dof, ndof = mesh.dof_map()
+    dofs = dof[block]
+    d_b, fixed_b = d[dofs], fixed[dofs]
     broken = NumericalError(f"the mesh is not invariant under turning by one of {n} rays")
-    if n < 3 or np.any(turn < 0):
-        raise broken
-    turn -= rc  # by how many cells each column turns from its row, and slots
-    turn %= n
-    del rc
-    side -= rows.astype(np.int32)[ri]
-    bw = int(np.abs(side[at0]).max())
-    if np.any(np.abs(side) > bw):
-        raise broken
-    flat = turn  # (turn * len(rows) + ri) * (2 bw + 1) + side + bw
-    flat *= len(rows)
-    flat += ri
-    flat *= 2 * bw + 1
-    flat += side
-    flat += bw
-    del turn, ri, side
-    B = np.zeros(n * len(rows) * (2 * bw + 1))
-    B[flat[at0]] = sub.data[at0]
-    dev = B[flat]
-    dev -= sub.data
-    del flat, at0
-    B = B.reshape(n, len(rows), 2 * bw + 1)
-    nnz = np.diff(sub.indptr).reshape(len(rows), n)
-    d_b, fixed_b = d[block], fixed[block]
-    tol = 1e-12 * max(K.data.max(), -K.data.min())
     if not (
-        np.all(nnz == nnz[:, :1])
-        and np.all(np.abs(dev, out=dev) <= tol)
-        and np.all(np.abs(B.sum(axis=(0, 2))) <= tol)
+        n >= 3
+        and np.all(np.bincount(dof, minlength=ndof)[dofs] == 1)
+        and np.array_equal(np.sort(key), np.sort(key_turned))
+        and np.abs(moved.view(float)).max() <= TURN_ULPS * np.spacing(np.abs(z.view(float)).max())
         and np.all(np.abs(d_b - d_b[:1]) <= 1e-12 * d.max())
         and np.all(fixed_b == fixed_b[:1])
     ):
         raise broken
+    del label, key, key_turned, z, moved
+
+    # side k joins corners k and k + 1 and enters both rows; then the diagonal
+    side, diag = _stiffness_entries(mesh, first)
+    at = np.full(slots, -1)
+    at[rows] = np.arange(len(rows))
+    i = np.where(cell == 0, at[slot], -1)  # B's row of each corner, -1 off cell 0's rows
+    nxt = [1, 2, 0]
+    row = np.concatenate([i, i[nxt], i])
+    turn = np.concatenate([cell[nxt], cell, np.zeros_like(cell)])
+    shift = np.concatenate([slot[nxt] - slot, slot - slot[nxt], np.zeros_like(slot)])
+    entry = np.concatenate([side, side, diag])
+    ours = row >= 0
+    bw = int(np.abs(shift[ours]).max())
+    flat = ((turn * len(rows) + row) * (2 * bw + 1) + shift + bw)[ours]
+    B = np.bincount(flat, entry[ours], n * len(rows) * (2 * bw + 1))
+    B = B.reshape(n, len(rows), 2 * bw + 1)
+    if not np.all(np.abs(B.sum(axis=0).sum(axis=1)) <= 1e-12 * max(B.max(), -B.min())):
+        raise broken
     return B
 
 
-def _sector_schur(K, block, rows, elim, keep, d, fixed):
+def _sector_schur(mesh: Mesh, block, rows, elim, keep, d, fixed):
     """S_j = K_j[keep, keep] - K_j[keep, elim] K_j[elim, elim]^-1 K_j[elim, keep].
 
-    block is an (n, slots) grid of dofs, and K_j is read from the K rows
-    of the `rows` slots, zero between two other slots.  Returns (n,
+    block is an (n, slots) grid of vertices, and K_j is read from the K
+    rows of the `rows` slots, zero between two other slots.  Returns (n,
     len(keep), len(keep)), sector j in row j.
     """
     n, slots = block.shape
-    B = _turn_twins(K, block, rows, d, fixed)
+    B = _circulant_rows(mesh, block, rows, d, fixed)
     bw = B.shape[2] // 2
 
     # K_j = sum_t w^(jt) K_t as the zero-row-sum K_j at j = 0 plus, over t != 0,
@@ -423,50 +477,57 @@ def _sector_schur(K, block, rows, elim, keep, d, fixed):
         """(K_j)[p, q] for every sector j, broadcast over slot indices p, q."""
         far = np.abs(q - p)
         near = U[:, np.minimum(p, q), np.minimum(far, bw)]
-        return np.where(far <= bw, np.where(q < p, near.conj(), near), 0.0)
+        np.conjugate(near, out=near, where=q < p)
+        np.copyto(near, 0.0, where=far > bw)
+        return near
 
-    band = np.zeros((bw + 1, n, len(elim)), dtype=complex)  # upper form, sectors apart
+    # upper form, sectors apart, stored as LAPACK reads it (band row fastest),
+    # so the solve factors it in place
+    band = np.zeros((n, len(elim), bw + 1), dtype=complex)
     for s in range(1, bw + 1):
-        band[bw - s, :, s:] = entry(elim[:-s], elim[s:])
-    band[bw] = entry(elim, elim)
-    KEK = entry(elim[:, None], keep[None, :])
+        band[:, s:, bw - s] = entry(elim[:-s], elim[s:])
+    band[..., bw] = entry(elim, elim)
+    KEK, KKK = entry(elim[:, None], keep[None, :]), entry(keep[:, None], keep)
+    del U
     with _numerical_errors():
-        X = solveh_banded(band.reshape(bw + 1, -1), KEK.reshape(-1, len(keep)))
-    return entry(keep[:, None], keep) - KEK.conj().transpose(0, 2, 1) @ X.reshape(KEK.shape)
+        X = solveh_banded(band.reshape(-1, bw + 1).T, KEK.reshape(-1, len(keep)), overwrite_ab=True)
+    return KKK - KEK.conj().transpose(0, 2, 1) @ X.reshape(KEK.shape)
 
 
-def _sector_eigs(K, d: np.ndarray, fixed: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _sector_eigs(mesh: Mesh, d: np.ndarray, fixed: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Every Steklov eigenvalue of a mesh one block covers (slot i is ring i).
 
     Returns (n, n_S) eigenvalues, row j ascending for sector j, n_S Steklov rings.
     """
-    d0, free0 = d[block[0]], ~fixed[block[0]]
+    ring = mesh.dof_map()[0][block[0]]
+    d0, free0 = d[ring], ~fixed[ring]
     S, I = np.flatnonzero(free0 & (d0 > 0)), np.flatnonzero(free0 & (d0 == 0))
-    schur = _sector_schur(K, block, np.arange(block.shape[1]), I, S, d, fixed)
+    schur = _sector_schur(mesh, block, np.arange(block.shape[1]), I, S, d, fixed)
     scale = 1.0 / np.sqrt(d0[S])
     with _numerical_errors():
         return np.linalg.eigvalsh(scale[:, None] * schur * scale)
 
 
-def _condense_collars(K, d: np.ndarray, fixed: np.ndarray, blocks):
-    """(K, d, fixed) with rings 1..R-1 of each collar block eliminated.
+def _condense_collars(mesh: Mesh, K, d: np.ndarray, fixed: np.ndarray):
+    """(K, d, fixed) with rings 1..R-1 of each of the mesh's collar blocks eliminated.
 
     Slot 0 of a collar block is its hole polygon, its last two slots its
     outer ring R: the rim, whose rows get zero sums again at the end.
     """
+    dof = mesh.dof_map()[0]
     stay = np.ones(K.shape[0], dtype=bool)
     Kc = K.tocoo()
     parts, rims = [(Kc.row, Kc.col, Kc.data)], []
-    for block in blocks:
+    for block in mesh.blocks:
         n, slots = block.shape
         elim, keep = np.arange(1, slots - 2), np.array([0, slots - 2, slots - 1])
-        schur = _sector_schur(K, block, elim, elim, keep, d, fixed)
+        schur = _sector_schur(mesh, block, elim, elim, keep, d, fixed)
         # cell c couples to cell c + t by (1/n) sum_j S_j w^(-jt)
         coupling = np.fft.fft(schur, axis=0).real / n
         dense = coupling[(np.arange(n) - np.arange(n)[:, None]) % n].transpose(0, 2, 1, 3)
-        rims.append(block[:, keep].ravel())
+        rims.append(dof[block[:, keep]].ravel())
         parts.append((np.repeat(rims[-1], 3 * n), np.tile(rims[-1], 3 * n), dense.ravel()))
-        stay[block[:, elim]] = False
+        stay[dof[block[:, elim]]] = False
     row, col, data = map(np.concatenate, zip(*parts))
     A = sparse.csr_matrix((data, (row, col)), shape=K.shape)[stay][:, stay]
     diag = A.diagonal()
@@ -501,7 +562,7 @@ def steklov_spectrum(
 def _steklov(
     mesh: Mesh, count: int, dset: set[int], steklov_markers: set[int], return_modes: bool
 ):
-    K, dof, ndof = assemble(mesh)
+    dof, ndof = mesh.dof_map()
     d_vec = boundary_mass(mesh, steklov_markers, dof, ndof)
 
     fixed = np.zeros(ndof, dtype=bool)
@@ -514,12 +575,13 @@ def _steklov(
         )
 
     tau = 1.0 / float(d_vec.sum())
-    if mesh.blocks and not return_modes:
-        blocks = [dof[block] for block in mesh.blocks]
-        if blocks[0].size == ndof:  # one block covers the mesh
-            sigmas = np.sort(_sector_eigs(K, d_vec, fixed, blocks[0]), axis=None)[:count]
-            return np.maximum(sigmas, 0.0)  # as _lam clips rounding below zero
-        K, d_vec, fixed = _condense_collars(K, d_vec, fixed, blocks)
+    blocks = () if return_modes else mesh.blocks
+    if blocks and blocks[0].size == ndof:  # one block covers the mesh: K is never built
+        sigmas = np.sort(_sector_eigs(mesh, d_vec, fixed, blocks[0]), axis=None)[:count]
+        return np.maximum(sigmas, 0.0)  # as _lam clips rounding below zero
+    K = assemble(mesh)[0]
+    if blocks:
+        K, d_vec, fixed = _condense_collars(mesh, K, d_vec, fixed)
     free = np.flatnonzero(~fixed)
     out = _boundary_eigs(K[free][:, free], d_vec[free], count, tau, return_modes)
     if not return_modes:

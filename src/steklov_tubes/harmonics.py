@@ -29,6 +29,13 @@ GROUP_RTOL = 1e-12
 # round sphere S^d
 
 
+def _integer(name: str, value) -> int:
+    """int(value), refusing by name a float that int() would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def sphere_eigenvalue(d: int, i: int) -> float:
     """i-th distinct Laplace eigenvalue of the unit round sphere S^d."""
     if d < 1 or i < 0:
@@ -89,7 +96,7 @@ class RoundSphere:
     tag = "round_sphere"
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _integer("round sphere dim", self.dim))
         object.__setattr__(self, "radius", float(self.radius))
         if self.dim < 1 or not (self.radius > 0):
             raise ConfigurationError(f"bad round sphere {self!r}")
@@ -271,14 +278,14 @@ def scenario_from_json(obj: dict) -> ExcisionScenario:
     try:
         subs = tuple(
             SubmanifoldSpec(
-                dim=int(s["dim"]),
+                dim=_integer("dim", s["dim"]),
                 volume=float(s["volume"]),
                 kind=_kind_from_json(s["kind"]),
             )
             for s in obj["submanifolds"]
         )
         return ExcisionScenario(
-            m=int(obj["m"]),
+            m=_integer("m", obj["m"]),
             lambda1_M=float(obj["lambda1_M"]),
             submanifolds=subs,
         )

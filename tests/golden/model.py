@@ -163,6 +163,10 @@ FEM_ARGV = [
     *(["fem", "--domain", "annulus", "--h", "0.02", "--count", "8", *flags, "--out", OUT]
       for flags in ([], ["--dirichlet-markers", "0"], ["--neumann-markers", "0"],
                     ["--dirichlet-markers", "1"])),
+    # the 95k-vertex annulus one block covers, and collars at h 1e-4
+    ["verify-all", "--criteria", "9", "--seed", "0", "--out", OUT],
+    ["fem", "--domain", "torus", "--h", "0.0001", "--eps", "0.0005", *_CENTERS,
+     "--count", "6", "--out", OUT],
 ]
 
 FEM_SLOW = [["verify-all", "--seed", "0", "--out", OUT]]

@@ -90,6 +90,11 @@ def test_lower_bound_check():
                        ((eps, 1.0, math.nan), "slack"), ((eps, 1.0, math.inf), "slack")):
         with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
             lower_bound_check(sc, *args)
+    # so is a slack outside [0, 1): 1 made sigma1 = 0 hold, a negative one
+    # tightened the bound
+    for slack in (1.0, 1.5, -0.1, -5.0):
+        with pytest.raises(ConfigurationError, match=r"^slack must be in \[0, 1\)"):
+            lower_bound_check(sc, eps, 0.0, slack)
 
 
 def test_upper_bound_limit():

@@ -102,16 +102,29 @@ def test_exit_codes(capsys, tmp_path):
     # error, and --out is checked before any work: no criterion line, no
     # "# mesh:" line and no other output precedes the error
     missing = tmp_path / "no-such-dir"
-    # a NaN or infinite number is refused, by the argument's name
+    # a NaN or infinite number, a slack outside [0, 1) and a fractional
+    # dimension in a scenario file are refused, by the argument's name
     checks = ["bounds", "--scenario", TORUS, "--eps", "0.01", "--sigma1", "30", "--format", "json"]
     torus = ["fem", "--domain", "torus", "--h", "0.01", "--eps", "0.05", "--centers"]
-    non_finite = [
+    point = {"dim": 0, "volume": 1.0, "kind": {"type": "point"}}
+    fractional = {}
+    for name, scenario in (("m", {"m": 2.7, "submanifolds": [point]}),
+                           ("dim", {"m": 2, "submanifolds": [{**point, "dim": 0.9}]})):
+        fractional[name] = tmp_path / f"fractional-{name}.json"
+        fractional[name].write_text(json.dumps({**scenario, "lambda1_M": 39.47841760435743}))
+    refused = [
         ("sigma1", ["bounds", "--scenario", TORUS, "--eps", "0.01", "--sigma1", "nan",
                     "--format", "json"]),
         ("eps", ["bounds", "--scenario", TORUS, "--eps", "inf", "--sigma1", "5.0",
                  "--format", "json"]),
         ("slack", [*checks, "--slack", "nan"]),
         ("slack", [*checks, "--slack", "inf"]),
+        ("slack", ["bounds", "--scenario", TORUS, "--eps", "0.01", "--sigma1", "0",
+                   "--slack", "1", "--format", "json"]),
+        ("slack", [*checks, "--slack", "-5"]),
+        *((name, ["bounds", "--scenario", str(path), "--eps", "0.01", "--sigma1", "30",
+                  "--format", "json"]) for name, path in fractional.items()),
+        ("m", ["bounds", "--scenario", str(fractional["m"])]),
         ("h=nan", ["fem", "--domain", "annulus", "--h", "nan"]),
         ("side", ["fem", "--domain", "torus", "--side", "nan", "--h", "0.01", "--eps", "0.05"]),
         # before the offset search and the collars, so with no warning
@@ -119,7 +132,7 @@ def test_exit_codes(capsys, tmp_path):
         ("center", [*torus, "0.25,0.25", "0.75,inf"]),
     ]
     for argv in (
-        *(argv for _, argv in non_finite),
+        *(argv for _, argv in refused),
         ["bounds", "--scenario", str(SCENARIOS)],
         ["fem", "--domain", "disk", "--h", "0.02", "--out", str(missing / "x.csv")],
         ["fem", "--domain", "disk", "--h", "0.5", "--out", str(tmp_path)],
@@ -149,7 +162,7 @@ def test_exit_codes(capsys, tmp_path):
         assert out == "", argv
         assert len(err.splitlines()) == 1, argv
         assert json.loads(err)["error"] == "configuration", argv
-    for name, argv in non_finite:
+    for name, argv in refused:
         assert main(argv) == 1
         assert name in json.loads(capsys.readouterr().err)["message"], argv
     # the disk's circle carries marker 1, as on the mesh

@@ -462,10 +462,11 @@ def test_mass_only_for_neumann(annulus_mesh, torus_mesh, monkeypatch):
 
 
 # tracemalloc peak of building the h 0.01 annulus (24021 vertices) and
-# solving its Steklov spectrum, per vertex, as measured once assembly
-# built K alone, numpy 2.4 and scipy 1.17 (784 bytes with the mass matrix
-# and the np.unique edge table)
-PEAK_BYTES_PER_VERTEX = 457
+# solving its Steklov spectrum, per vertex, as measured once the sector
+# solve read cell 0's triangles and no K, numpy 2.4 and scipy 1.17: the
+# build's own peak, the solve's being 320 (457 with the assembled K, 784
+# with the mass matrix and the np.unique edge table)
+PEAK_BYTES_PER_VERTEX = 330
 
 
 def test_annulus_build_and_solve_memory():
@@ -548,7 +549,7 @@ def test_sector_against_mpmath():
     mesh = mesh_planar(Annulus(0.5, 1.0), 0.05)
     K, dof, ndof = assemble(mesh)
     d = boundary_mass(mesh, {0, 1}, dof, ndof)
-    got = solve._sector_eigs(K, d, np.zeros(ndof, dtype=bool), mesh.blocks[0])[1]
+    got = solve._sector_eigs(mesh, d, np.zeros(ndof, dtype=bool), mesh.blocks[0])[1]
     n_t, rings = mesh.blocks[0].shape
     with mpmath.workdps(30):
         w = mpmath.expjpi(mpmath.mpf(2) / n_t)
@@ -580,11 +581,41 @@ def test_sector_path_checks_the_rays(annulus_mesh):
     moved = dataclasses.replace(annulus_mesh, vertices=v)
     # half as many rays per ring: turning by one cell is no symmetry
     half = dataclasses.replace(annulus_mesh, blocks=(block.T.reshape(-1, len(block) // 2).T,))
-    for mesh in (moved, half):
+    # the vertices untouched, but the quad of ray 5 between rings 3 and 4
+    # split along its other diagonal
+    tris = annulus_mesh.triangles.copy()
+    a, b, c, d = block[5, 3], block[5, 4], block[6, 4], block[6, 3]
+    quad = np.flatnonzero(np.isin(tris, [a, b, c, d]).sum(axis=1) == 3)
+    assert sorted(map(sorted, tris[quad].tolist())) == sorted([sorted([a, b, c]), sorted([a, c, d])])
+    tris[quad] = [[a, b, d], [b, c, d]]
+    flipped = dataclasses.replace(annulus_mesh, triangles=tris)
+    assert np.all(flipped.areas() > 0)
+    # two opposite vertices of an interior ring glued into one dof
+    glued = dataclasses.replace(annulus_mesh, periodic_pairs=[[block[0, 3], block[len(block) // 2, 3]]])
+    for mesh in (moved, half, flipped, glued):
         with pytest.raises(NumericalError, match="rays"):
             steklov_spectrum(mesh, 8)
+    # one edge of a circle marked apart: Neumann or Dirichlet on the outer
+    # one moves d, Dirichlet on the Neumann inner one only fixes its ends
+    markers = annulus_mesh.boundary_markers.copy()
+    markers[[0, -1]] = 2, 3
+    marked = dataclasses.replace(annulus_mesh, boundary_markers=markers)
+    for kw in ({"neumann_markers": (3,)}, {"dirichlet_markers": (3,)},
+               {"dirichlet_markers": (2,), "neumann_markers": (0,)}):
+        with pytest.raises(NumericalError, match="rays"):
+            steklov_spectrum(marked, 8, **kw)
     # the general path solves the moved mesh
     assert steklov_spectrum(dataclasses.replace(moved, blocks=()), 8)[0] <= 1e-10
+
+
+def test_block_covered_annulus_builds_no_stiffness(annulus_mesh):
+    # the sector path reads cell 0's triangles; only a solve with modes assembles K
+    mesh = dataclasses.replace(annulus_mesh)
+    for markers in MARKER_SETS:
+        steklov_spectrum(mesh, 8, *markers)
+    assert "stiffness" not in mesh._cache
+    steklov_spectrum(mesh, 8, return_modes=True)
+    assert "stiffness" in mesh._cache
 
 
 def test_loaded_annulus_takes_lanczos(annulus_mesh, tmp_path, monkeypatch):
@@ -642,19 +673,22 @@ def test_condensed_collars_keep_zero_row_sums(torus_mesh):
     K, dof, ndof = assemble(torus_mesh)
     d = boundary_mass(torus_mesh, {0, 1}, dof, ndof)
     blocks = [dof[block] for block in torus_mesh.blocks]
-    A, d_kept, fixed = solve._condense_collars(K, d, np.zeros(ndof, dtype=bool), blocks)
+    A, d_kept, fixed = solve._condense_collars(torus_mesh, K, d, np.zeros(ndof, dtype=bool))
     assert A.shape[0] == len(d_kept) == len(fixed) == ndof - sum(b[:, 1:-2].size for b in blocks)
     assert np.array_equal(d_kept[d_kept > 0], d[d > 0])
     # the sector solves alone leave rim row sums near 1e-14 max|A|
     assert np.abs(A @ np.ones(A.shape[0])).max() <= 3e-15 * np.abs(A.data).max()
 
 
-def test_fine_collars_take_the_general_path(monkeypatch):
-    # at h = 1e-4 the rounding of the coordinates alone would move the
-    # stiffness twins past the sector check's 1e-12, so the generator
-    # declares no collar and the torus is factored whole
+def test_fine_collars_take_the_collar_path(monkeypatch):
+    # at h = 1e-4 the turn is checked on the mesh's labels and coordinates,
+    # so both collars stay blocks: the torus is factored condensed
     mesh = mesh_torus_minus_disks(1.0, TORUS_CENTERS, 0.0005, 0.0001)
-    assert mesh.blocks == ()
+    assert len(mesh.blocks) == 2
     factored = _count_factors(monkeypatch)
-    assert 0.0 <= steklov_spectrum(mesh, 3)[0] <= 1e-10
-    assert [A.shape[0] for A in factored] == [mesh.dof_map()[1]]
+    vals = steklov_spectrum(mesh, 3)
+    interior = sum(block[:, 1:-2].size for block in mesh.blocks)
+    assert [A.shape[0] for A in factored] == [mesh.dof_map()[1] - interior]
+    ref = steklov_spectrum(dataclasses.replace(mesh, blocks=()), 3)
+    assert 0.0 <= vals[0] <= 1e-10
+    assert list(vals) == pytest.approx(list(ref), rel=1e-10, abs=1e-10)

@@ -196,6 +196,23 @@ def test_scenario_json_rejects_garbage():
                 {"m": 4, "lambda1_M": 1.0,
                  "submanifolds": [{"dim": 0, "volume": 1.0, "kind": kind}]}
             )
+    # a fractional dimension is refused by name, not truncated; a whole
+    # float is the integer
+    point = {"dim": 0, "volume": 1.0, "kind": {"type": "point"}}
+    sphere = {"type": "round_sphere", "dim": 2, "radius": 1.0}
+    for obj, name in (
+        ({"m": 2.7, "lambda1_M": 1.0, "submanifolds": [point]}, "m"),
+        ({"m": 2, "lambda1_M": 1.0, "submanifolds": [{**point, "dim": 0.9}]}, "dim"),
+        ({"m": 5, "lambda1_M": 1.0, "submanifolds": [
+            {"dim": 2, "volume": 1.0, "kind": {**sphere, "dim": 2.9}}]}, "round sphere dim"),
+        ({"m": 5, "lambda1_M": 1.0, "submanifolds": [
+            {"dim": 2.5, "volume": 1.0, "kind": sphere}]}, "dim"),
+        ({"m": math.inf, "lambda1_M": 1.0, "submanifolds": [point]}, "m"),
+    ):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+            scenario_from_json(obj)
+    whole = scenario_from_json({"m": 2.0, "lambda1_M": 1.0, "submanifolds": [{**point, "dim": 0.0}]})
+    assert (whole.m, whole.submanifolds[0].dim) == (2, 0)
 
 
 def test_mode_eigenvalue_family_validation():
