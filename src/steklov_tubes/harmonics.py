@@ -25,15 +25,15 @@ from .errors import ConfigurationError
 GROUP_RTOL = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# round sphere S^d
-
-
 def _integer(name: str, value) -> int:
     """int(value), refusing by name a float that int() would truncate."""
     if isinstance(value, float) and not value.is_integer():
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+# ---------------------------------------------------------------------------
+# round sphere S^d
 
 
 def sphere_eigenvalue(d: int, i: int) -> float:
