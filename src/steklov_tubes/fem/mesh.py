@@ -37,6 +37,13 @@ table, and Mesh.areas() the signed triangle areas.  validate (positive
 areas, no edge of three triangles, listed boundary edges == edges of one
 triangle), the Euler characteristic (-b for b holes) and fem.solve's
 single CSR pattern of K and M all read these two arrays.
+
+All topology is int32: the generators build their index arrays as int32
+from the start, and a Mesh holds its triangles, boundary edges and
+markers, periodic pairs and blocks, and its edge table, as int32.  No
+mesh under MAX_VERTICES comes near 2**31 indices, and int32 takes a
+quarter off the bytes per vertex of a build.  A Mesh refuses an index
+that int32 cannot hold, so a loaded file cannot wrap one.
 """
 
 from __future__ import annotations
@@ -63,7 +70,8 @@ def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The 3*nt directed edges are the 0-1 sides of every triangle, then the
     1-2 sides, then the 2-0 sides; inverse (int32 when 3*nt < 2**31) maps
-    each to its row of the unique (a <= b) pairs, in lexicographic order.
+    each to its row of the int32 unique (a <= b) pairs, in lexicographic
+    order.
     The pairs are a CSR matrix with row a and column b, which a counting
     sort over a builds with duplicates summed, in O(nt + n) for bounded
     vertex degree (Davis, Direct Methods for Sparse Linear Systems, SIAM
@@ -80,8 +88,8 @@ def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pairs.data = np.arange(pairs.nnz, dtype=index)
     inverse = pairs[a, b]
     del a, b
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pairs.indptr))
-    return np.column_stack([rows, pairs.indices]), inverse
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(pairs.indptr))
+    return np.column_stack([rows, pairs.indices.astype(np.int32, copy=False)]), inverse
 
 
 # A generator refuses a mesh estimated above MAX_VERTICES before it
@@ -115,6 +123,21 @@ def _check_size(estimate, *args) -> None:
 # like powers of eps/r and are meshed self-similarly.
 _COLLAR_BAND = 0.5
 
+
+def _index_copy(name: str, value) -> np.ndarray:
+    """An int32 copy of an index array; refuses what int32 cannot hold exactly."""
+    arr = np.asarray(value)
+    if arr.size and not np.can_cast(arr.dtype, np.int32):
+        if arr.dtype.kind not in "iu":
+            raise ConfigurationError(f"mesh {name} must be integers, got {arr.dtype}")
+        low, high = int(arr.min()), int(arr.max())
+        if low < -(2**31) or high >= 2**31:
+            raise ConfigurationError(
+                f"mesh {name} hold {high if high >= 2**31 else low}, outside int32"
+            )
+    return arr.astype(np.int32)
+
+
 @dataclass(frozen=True)
 class Disk:
     radius: float
@@ -132,12 +155,14 @@ class Mesh:
 
     The arrays are read-only copies of the constructor's, so a generator
     finishes every array, the torus boundary included, before it builds
-    the mesh.  The dof map, the edge table, the areas, the stiffness of
-    solve.assemble, the mass of solve.mass (built for Neumann solves
-    only), the Steklov and Neumann spectra of fem.solve and the
-    boundary masses of fem.checks are cached on the instance, so every
-    check and solve on one mesh object shares them; dataclasses.replace
-    gives a new mesh with a fresh cache.
+    the mesh.  The index arrays are copied as int32; a value int32 cannot
+    hold exactly (outside +-2**31, or not an integer) raises
+    ConfigurationError and is never wrapped.  The dof map, the edge
+    table, the areas, the stiffness of solve.assemble, the mass of
+    solve.mass (built for Neumann solves only), the Steklov and Neumann
+    spectra of fem.solve and the boundary masses of fem.checks are
+    cached on the instance, so every check and solve on one mesh object
+    shares them; dataclasses.replace gives a new mesh with a fresh cache.
 
     blocks declares ray-periodic parts: a block is a (cells x slots) grid
     of vertex indices, and turning counterclockwise by 2 pi / cells about
@@ -154,14 +179,17 @@ class Mesh:
     boundary_edges: np.ndarray    # (nbe, 2) vertex indices
     boundary_markers: np.ndarray  # (nbe,)
     periodic_pairs: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 2), dtype=np.int64)
+        default_factory=lambda: np.zeros((0, 2), dtype=np.int32)
     )
     blocks: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            arrays = [np.array(v) for v in value] if f.name == "blocks" else [np.array(value)]
+            if f.name == "vertices":
+                arrays = [np.array(value)]
+            else:
+                arrays = [_index_copy(f.name, v) for v in (value if f.name == "blocks" else [value])]
             for arr in arrays:
                 arr.flags.writeable = False
             object.__setattr__(self, f.name, tuple(arrays) if f.name == "blocks" else arrays[0])
@@ -274,6 +302,7 @@ class Mesh:
         def section(start: int, count: int, width: int, kind: type) -> np.ndarray:
             block = lines[start : start + count]
             rows = [[kind(t) for t in ln.split()] for ln in block]
+            # indices are read as int64, so that Mesh refuses one int32 cannot hold
             dtype = np.float64 if kind is float else np.int64
             return np.array(rows, dtype=dtype).reshape(count, width)
 
@@ -289,7 +318,7 @@ class Mesh:
                 if tag != "periodic":
                     raise ValueError(f"unexpected section {tag!r}")
                 pairs = section(pos + 1, int(npairs), 2, int)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OverflowError) as exc:
             raise ConfigurationError(f"malformed mesh file {path}: {exc}") from exc
         mesh = cls(verts, tris, bnd[:, :2], bnd[:, 2], pairs)
         mesh.validate()
@@ -316,8 +345,8 @@ def _stitch(inner: np.ndarray, inner_ang: np.ndarray, outer: np.ndarray,
     nxt = np.concatenate([inner_ang[1:], inner_ang[:1] + 2.0 * math.pi,
                           outer_ang[1:], outer_ang[:1] + 2.0 * math.pi])
     step_in = np.argsort(nxt, kind="stable") < n_in
-    i = np.cumsum(step_in) - step_in
-    j = np.arange(n_in + n_out) - i
+    i = np.cumsum(step_in, dtype=np.int32) - step_in
+    j = np.arange(n_in + n_out, dtype=np.int32) - i
     apex = np.where(step_in, inner[(i + 1) % n_in], outer[(j + 1) % n_out])
     return np.column_stack([inner[i % n_in], outer[j % n_out], apex])
 
@@ -364,18 +393,18 @@ def _mesh_disk(radius: float, h: float) -> Mesh:
         verts.append(
             i * dr * np.column_stack([np.cos(ang), np.sin(ang)])
         )
-        rings.append(np.arange(start, start + n_i))
+        rings.append(np.arange(start, start + n_i, dtype=np.int32))
         angs.append(ang)
         start += n_i
     vertices = np.concatenate(verts)
-    fan = np.column_stack([np.zeros(6, dtype=np.int64), rings[0], np.roll(rings[0], -1)])
+    fan = np.column_stack([np.zeros(6, dtype=np.int32), rings[0], np.roll(rings[0], -1)])
     strips = [
         _stitch(rings[i], angs[i], rings[i + 1], angs[i + 1]) for i in range(n_r - 1)
     ]
     triangles = np.concatenate([fan, *strips])
     outer = rings[-1]
-    be = np.column_stack([outer, np.roll(outer, -1)]).astype(np.int64)
-    mesh = Mesh(vertices, triangles, be, np.ones(len(be), dtype=np.int64))
+    be = np.column_stack([outer, np.roll(outer, -1)])
+    mesh = Mesh(vertices, triangles, be, np.ones(len(be), dtype=np.int32))
     mesh.validate()
     return mesh
 
@@ -395,15 +424,15 @@ def _mesh_annulus(r_in: float, r_out: float, h: float) -> Mesh:
 
     # vertex i*n_t + k sits on ring i at angle k; each cell (i, k) splits
     # into two CCW triangles along its (i, k)-(i+1, k+1) diagonal
-    a = np.arange(n_r * n_t, dtype=np.int64)
+    a = np.arange(n_r * n_t, dtype=np.int32)
     d = a - a % n_t + (a + 1) % n_t
     cells = np.column_stack([a, a + n_t, d + n_t, a, d + n_t, d])
     triangles = cells.reshape(-1, 3)
     ring = np.column_stack([a[:n_t], d[:n_t]])
     be = np.concatenate([ring, ring + n_r * n_t])
     mesh = Mesh(
-        vertices, triangles, be, np.repeat(np.arange(2, dtype=np.int64), n_t),
-        blocks=(np.arange(len(vertices)).reshape(n_r + 1, n_t).T,),
+        vertices, triangles, be, np.repeat(np.arange(2, dtype=np.int32), n_t),
+        blocks=(np.arange(len(vertices), dtype=np.int32).reshape(n_r + 1, n_t).T,),
     )
     mesh.validate()
     return mesh
@@ -521,7 +550,7 @@ def mesh_torus_minus_disks(
     def add(pts: np.ndarray) -> np.ndarray:
         start = sum(len(p) for p in points)
         points.append(pts)
-        return np.arange(start, start + len(pts))
+        return np.arange(start, start + len(pts), dtype=np.int32)
 
     # square corners and matched edge points
     step = side / n_e
@@ -595,23 +624,23 @@ def mesh_torus_minus_disks(
     # a collar's outermost ring is its block's last two slots: collar_end >
     # eps + h/2, so every collar has a ring past its polygon
     outer = [block[:, -2:].ravel() for block in blocks]
-    bg = np.concatenate([np.arange(right[-1] + 1), *outer, hex_idx])
-    label = np.full(len(pts), -1)
+    bg = np.concatenate([np.arange(right[-1] + 1, dtype=np.int32), *outer, hex_idx])
+    label = np.full(len(pts), -1, dtype=np.int32)
     for j, ring in enumerate(outer):
         label[ring] = j
     simp = bg[Delaunay(pts[bg]).simplices]
     on = label[simp]
     simp = simp[(on[:, 0] < 0) | (on[:, 0] != on[:, 1]) | (on[:, 1] != on[:, 2])]
-    rings = np.array([block[:, 0] for block in blocks], dtype=np.int64).reshape(b, n_b)
+    rings = np.array([block[:, 0] for block in blocks], dtype=np.int32).reshape(b, n_b)
 
     # hole j's boundary is its polygon, marked j
     be = np.stack([rings, np.roll(rings, -1, axis=1)], axis=-1).reshape(-1, 2)
     mesh = Mesh(
         pts + off,
-        np.concatenate([simp, *strips]).astype(np.int64),
+        np.concatenate([simp, *strips]),
         be,
-        np.repeat(np.arange(b, dtype=np.int64), n_b),
-        np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        np.repeat(np.arange(b, dtype=np.int32), n_b),
+        np.array(pairs, dtype=np.int32).reshape(-1, 2),
         tuple(blocks),
     )
     mesh.validate()

@@ -94,6 +94,7 @@ from .mesh import Mesh
 BLOCK = 2  # Steklov Lanczos block size
 RESIDUAL = 1e-10  # relative residual of every Steklov Ritz pair
 TURN_ULPS = 64  # spacings of its largest coordinate a turned block vertex may move
+SECTOR_CHUNK = 64  # Fourier sectors whose rows _sector_schur updates at once
 
 
 def assemble(mesh: Mesh) -> tuple[sparse.csr_matrix, np.ndarray, int]:
@@ -403,6 +404,8 @@ def _circulant_rows(mesh: Mesh, block, rows, d: np.ndarray, fixed: np.ndarray):
     turned[turned >= size] -= size
     key_turned = key + slots * (size * size + size + 1)
     key_turned[wraps] = _cyclic_keys(turned, size)
+    turns = np.array_equal(np.sort(key), np.sort(key_turned))
+    del label, key, key_turned  # before the coordinates, so the two checks do not add up
 
     z = mesh.vertices[block].view(complex)[..., 0]  # (n, slots), x + iy
     center = z[:, 0].mean()
@@ -416,13 +419,13 @@ def _circulant_rows(mesh: Mesh, block, rows, d: np.ndarray, fixed: np.ndarray):
     if not (
         n >= 3
         and np.all(np.bincount(dof, minlength=ndof)[dofs] == 1)
-        and np.array_equal(np.sort(key), np.sort(key_turned))
+        and turns
         and np.abs(moved.view(float)).max() <= TURN_ULPS * np.spacing(np.abs(z.view(float)).max())
         and np.all(np.abs(d_b - d_b[:1]) <= 1e-12 * d.max())
         and np.all(fixed_b == fixed_b[:1])
     ):
         raise broken
-    del label, key, key_turned, z, moved
+    del z, moved
 
     # side k joins corners k and k + 1 and enters both rows; then the diagonal
     side, diag = _stiffness_entries(mesh, first)
@@ -457,21 +460,26 @@ def _sector_schur(mesh: Mesh, block, rows, elim, keep, d, fixed):
 
     # K_j = sum_t w^(jt) K_t as the zero-row-sum K_j at j = 0 plus, over t != 0,
     # (w^(jt) - 1) K_t: the small sector terms carry no cancellation
-    R = B.sum(axis=0)
-    R[:, bw] = -(R[:, :bw].sum(axis=1) + R[:, bw + 1 :].sum(axis=1))
+    R0 = B.sum(axis=0)
+    R0[:, bw] = -(R0[:, :bw].sum(axis=1) + R0[:, bw + 1 :].sum(axis=1))
+    R = np.broadcast_to(R0, (n, *R0.shape)).astype(complex)
     theta = 2.0 * np.pi * np.fft.fftfreq(n)[:, None, None]
     for t in np.flatnonzero(B[1:].any(axis=(1, 2))) + 1:
         angle = theta * (t if 2 * t <= n else t - n)
-        R = R + (-2.0 * np.sin(0.5 * angle) ** 2 + 1j * np.sin(angle)) * B[t]
+        factor = -2.0 * np.sin(0.5 * angle) ** 2 + 1j * np.sin(angle)
+        for j in range(0, n, SECTOR_CHUNK):  # no temporary the size of R
+            R[j : j + SECTOR_CHUNK] += factor[j : j + SECTOR_CHUNK] * B[t]
+    del B
     # U[:, p, s] = (K_j)[p, p + s], the mean of rows p and p + s where given
     U = np.zeros((n, slots + bw, bw + 1), dtype=complex)
     U[:, rows] = R[..., bw:]
     for s in range(bw + 1):
         U[:, rows - s, s] += R[..., bw - s].conj()
+    del R  # U holds what the solve reads
     given = np.isin(np.arange(slots + bw), rows).astype(int)
     counts = given[:slots, None] + given[np.arange(slots)[:, None] + np.arange(bw + 1)]
-    U = U[:, :slots] / np.maximum(counts, 1)
-    del B, R  # U holds what the solve reads
+    U = U[:, :slots]
+    U /= np.maximum(counts, 1)
 
     def entry(p, q):
         """(K_j)[p, q] for every sector j, broadcast over slot indices p, q."""
@@ -489,9 +497,14 @@ def _sector_schur(mesh: Mesh, block, rows, elim, keep, d, fixed):
     band[..., bw] = entry(elim, elim)
     KEK, KKK = entry(elim[:, None], keep[None, :]), entry(keep[:, None], keep)
     del U
+    # the right-hand side in LAPACK's column order, solved in place; K_EK^H
+    # is then formed where K_EK was
+    X = KEK.transpose(2, 0, 1).reshape(len(keep), -1).T
+    np.conjugate(KEK, out=KEK)
     with _numerical_errors():
-        X = solveh_banded(band.reshape(-1, bw + 1).T, KEK.reshape(-1, len(keep)), overwrite_ab=True)
-    return KKK - KEK.conj().transpose(0, 2, 1) @ X.reshape(KEK.shape)
+        X = solveh_banded(band.reshape(-1, bw + 1).T, X, overwrite_ab=True, overwrite_b=True)
+    del band
+    return KKK - KEK.transpose(0, 2, 1) @ X.reshape(KEK.shape)
 
 
 def _sector_eigs(mesh: Mesh, d: np.ndarray, fixed: np.ndarray, block: np.ndarray) -> np.ndarray:

@@ -187,8 +187,8 @@ class SubmanifoldSpec:
     def __post_init__(self):
         if self.dim < 0:
             raise ConfigurationError(f"dim must be >= 0, got {self.dim}")
-        if self.volume <= 0:
-            raise ConfigurationError(f"volume must be > 0, got {self.volume}")
+        if not 0 < self.volume < math.inf:
+            raise ConfigurationError(f"volume must be finite and > 0, got {self.volume}")
         if not isinstance(self.kind, SpectrumKind):
             raise TypeError(f"unknown spectrum kind {self.kind!r}")
         if self.kind.dim != self.dim:
@@ -208,9 +208,9 @@ class ExcisionScenario:
     def __post_init__(self):
         if self.m < 2:
             raise ConfigurationError(f"ambient dimension must be >= 2, got {self.m}")
-        if self.lambda1_M <= 0:
+        if not 0 < self.lambda1_M < math.inf:
             raise ConfigurationError(
-                f"lambda1_M must be > 0, got {self.lambda1_M}"
+                f"lambda1_M must be finite and > 0, got {self.lambda1_M}"
             )
         if len(self.submanifolds) < 1:
             raise ConfigurationError("need at least one submanifold")

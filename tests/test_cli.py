@@ -112,7 +112,19 @@ def test_exit_codes(capsys, tmp_path):
                            ("dim", {"m": 2, "submanifolds": [{**point, "dim": 0.9}]})):
         fractional[name] = tmp_path / f"fractional-{name}.json"
         fractional[name].write_text(json.dumps({**scenario, "lambda1_M": 39.47841760435743}))
+    # a NaN gap or an infinite volume printed "spectral": NaN, which is
+    # not JSON, or C 0.0
+    torus_obj = json.loads(Path(TORUS).read_text())
+    first, *rest = torus_obj["submanifolds"]
+    non_finite = {}
+    for name, scenario in (("lambda1_M", {**torus_obj, "lambda1_M": math.nan}),
+                           ("volume", {**torus_obj, "submanifolds": [
+                               {**first, "volume": math.inf}, *rest]})):
+        non_finite[name] = tmp_path / f"non-finite-{name}.json"
+        non_finite[name].write_text(json.dumps(scenario))
     refused = [
+        *((name, ["bounds", "--scenario", str(path), "--format", "json"])
+          for name, path in non_finite.items()),
         ("sigma1", ["bounds", "--scenario", TORUS, "--eps", "0.01", "--sigma1", "nan",
                     "--format", "json"]),
         ("eps", ["bounds", "--scenario", TORUS, "--eps", "inf", "--sigma1", "5.0",

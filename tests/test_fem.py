@@ -18,7 +18,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from steklov_tubes.acceptance import TORUS_CENTERS, _annulus_reference
+from steklov_tubes.acceptance import TORUS_CENTERS, TREND_EPS, _annulus_reference, _trend_h
 from steklov_tubes.cli import main
 from steklov_tubes.errors import ConfigurationError, NumericalError
 from steklov_tubes.fem import (
@@ -461,25 +461,45 @@ def test_mass_only_for_neumann(annulus_mesh, torus_mesh, monkeypatch):
         built.clear()
 
 
-# tracemalloc peak of building the h 0.01 annulus (24021 vertices) and
-# solving its Steklov spectrum, per vertex, as measured once the sector
-# solve read cell 0's triangles and no K, numpy 2.4 and scipy 1.17: the
-# build's own peak, the solve's being 320 (457 with the assembled K, 784
-# with the mass matrix and the np.unique edge table)
-PEAK_BYTES_PER_VERTEX = 330
+def _peak_bytes_per_vertex(build, count: int) -> tuple[float, int]:
+    """(tracemalloc peak per vertex, vertices) of build() and its first `count` Steklov values."""
+    tracemalloc.start()
+    try:
+        mesh = build()
+        steklov_spectrum(mesh, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / mesh.num_vertices, mesh.num_vertices
+
+
+# tracemalloc peaks per vertex of a mesh build and its Steklov solve, as
+# measured with int32 mesh indices, numpy 2.4 and scipy 1.17.  The h 0.01
+# annulus (24021 vertices) peaks in its build: its sector solve reaches
+# 239 (320 with int64 indices, 457 with the assembled K, 784 with the
+# mass matrix and the np.unique edge table), and the int64 build 330.
+# The eps 0.01 trend torus of criterion 4 (17825 vertices) peaks where
+# the collar path puts the condensed rim blocks into K (836 with int64
+# indices); its build reaches 272.
+PEAK_BYTES_PER_VERTEX = 246
+COLLAR_PEAK_BYTES_PER_VERTEX = 785
 
 
 def test_annulus_build_and_solve_memory():
     steklov_spectrum(mesh_planar(Annulus(0.5, 1.0), 0.1), 8)  # first-call imports
-    tracemalloc.start()
-    try:
-        mesh = mesh_planar(Annulus(0.5, 1.0), 0.01)
-        steklov_spectrum(mesh, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert mesh.num_vertices == 24021
-    assert peak / mesh.num_vertices <= 1.25 * PEAK_BYTES_PER_VERTEX
+    peak, vertices = _peak_bytes_per_vertex(lambda: mesh_planar(Annulus(0.5, 1.0), 0.01), 8)
+    assert vertices == 24021
+    assert peak <= 1.25 * PEAK_BYTES_PER_VERTEX
+
+
+def test_collar_build_and_solve_memory(torus_mesh):
+    steklov_spectrum(torus_mesh, 3)  # first-call imports
+    eps = TREND_EPS[-1]
+    peak, vertices = _peak_bytes_per_vertex(
+        lambda: mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, _trend_h(eps)), 3
+    )
+    assert vertices == 17825
+    assert peak <= 1.25 * COLLAR_PEAK_BYTES_PER_VERTEX
 
 
 def test_boundary_mass_matches_edge_loop(annulus_mesh, torus_mesh):

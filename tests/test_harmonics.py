@@ -213,6 +213,15 @@ def test_scenario_json_rejects_garbage():
             scenario_from_json(obj)
     whole = scenario_from_json({"m": 2.0, "lambda1_M": 1.0, "submanifolds": [{**point, "dim": 0.0}]})
     assert (whole.m, whole.submanifolds[0].dim) == (2, 0)
+    # a NaN or infinite gap or volume is refused by name: it printed NaN
+    # into the bounds JSON, or a constant of 0
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match="^lambda1_M must be finite"):
+            scenario_from_json({"m": 2, "lambda1_M": value, "submanifolds": [point]})
+        with pytest.raises(ConfigurationError, match="^volume must be finite"):
+            scenario_from_json(
+                {"m": 2, "lambda1_M": 1.0, "submanifolds": [point, {**point, "volume": value}]}
+            )
 
 
 def test_mode_eigenvalue_family_validation():

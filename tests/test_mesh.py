@@ -189,8 +189,9 @@ def test_edge_table(disk_mesh, annulus_mesh, torus_mesh):
     assert inverse.tolist() == [0, 2, 1]
     empty = _edge_table(np.zeros((0, 3), dtype=np.int64))
     assert empty[0].shape == (0, 2) and empty[1].shape == (0,)
-    # the table is int64 and the inverse of a table under 2**31 sides int32
-    assert edges.dtype == np.int64 and inverse.dtype == np.int32
+    # the table is int32, as the mesh's indices are, and so is the inverse
+    # of a table under 2**31 sides
+    assert edges.dtype == np.int32 and inverse.dtype == np.int32
     # same output as the row-wise unique, on planar meshes and on the
     # periodic torus's vertex and dof labels
     dof, _ = torus_mesh.dof_map()
@@ -418,6 +419,41 @@ def test_save_load_roundtrip(tmp_path, torus_mesh):
         torus_mesh.num_triangles,
         len(torus_mesh.boundary_edges),
     ]
+
+
+def test_index_arrays_are_int32(tmp_path, disk_mesh, annulus_mesh, torus_mesh):
+    # every generator, and a loaded torus, holds its topology and edge
+    # table as int32
+    path = tmp_path / "mesh.txt"
+    torus_mesh.save(str(path))
+    loaded = Mesh.load(str(path))
+    assert len(loaded.periodic_pairs) and len(torus_mesh.blocks) == 2
+    for mesh in (disk_mesh, annulus_mesh, torus_mesh, loaded):
+        arrays = [mesh.triangles, mesh.boundary_edges, mesh.boundary_markers,
+                  mesh.periodic_pairs, *mesh.blocks, *mesh.edges()]
+        assert [a.dtype for a in arrays] == [np.int32] * len(arrays)
+    # an index int32 cannot hold is refused by name, in any field and in a
+    # file, and never wraps; a whole int64 index is taken
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tri, edge, marker = np.array([[0, 1, 2]]), np.array([[0, 1]]), np.array([1])
+    assert Mesh(verts, tri.astype(np.int64), edge, marker).triangles.tolist() == [[0, 1, 2]]
+    for name, args in (
+        ("triangles", (tri + np.array([0, 0, 2**31]), edge, marker)),
+        ("boundary_edges", (tri, edge - 2**31 - 1, marker)),
+        ("boundary_markers", (tri, edge, marker + 2**31)),
+        ("periodic_pairs", (tri, edge, marker, np.array([[2**31, 0]]))),
+        ("blocks", (tri, edge, marker, np.zeros((0, 2), dtype=int), (np.array([[2**40]]),))),
+        ("triangles", (tri + 0.5, edge, marker)),
+    ):
+        with pytest.raises(ConfigurationError, match=f"^mesh {name} "):
+            Mesh(verts, *args)
+    text = path.read_text().splitlines()
+    nv = torus_mesh.num_vertices
+    for index, message in ((2**31, "mesh triangles hold"), (2**63, "malformed mesh file")):
+        text[1 + nv] = f"0 1 {index}"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ConfigurationError, match=message):
+            Mesh.load(str(path))
 
 
 def test_blocks_turn_onto_themselves(annulus_mesh, torus_mesh):
