@@ -17,15 +17,18 @@ Three generators:
   * mesh_torus_minus_disks(side, centers, eps, h): fundamental square of
     a flat torus with circular holes.  Hole boundaries are exact
     inscribed polygons at edge length h; around each, graded polar rings
-    of twice the polygon's vertex count are stitched strip by strip, as
-    the disk's rings are, out to a hex background lattice capped at a
-    coarser edge length.  The square's opposite edges carry matching
-    vertices that are identified through periodic_pairs.  One Delaunay
-    call triangulates the background (the square's points, the hex
-    points and each collar's outermost ring), and nothing is smoothed; a
-    triangle whose corners all lie on one outermost ring is inside that
-    collar and dropped.  Turning by one polygon step maps each collar
-    onto itself, and the mesh declares each collar as a block.
+    of twice the polygon's vertex count run out to a hex background
+    lattice capped at a coarser edge length.  The collars share one set
+    of radii; each is placed in one array operation and numbered ring
+    after ring, so its strips repeat three patterns that _stitch gives
+    once per mesh, as it stitches the disk's rings.  The square's
+    opposite edges carry matching vertices that are identified through
+    periodic_pairs.  One Delaunay call triangulates the background (the
+    square's points, the hex points and each collar's outermost ring),
+    and nothing is smoothed; a triangle whose corners all lie on one
+    outermost ring is inside that collar and dropped.  Turning by one
+    polygon step maps each collar onto itself, and the mesh declares
+    each collar as a block.
 
 Every generator lists the boundary rings it placed, the torus its hole
 polygons (hole j carries marker j wherever its center lies).  The torus
@@ -483,7 +486,7 @@ def estimate_torus_vertices(side: float, holes: int, eps: float, h: float) -> fl
 
     Counts the square's points, the whole hex lattice and, per hole, the
     polygon plus 2*n_b vertices on each collar ring.  The ring count
-    bounds the grading loop: two wall-layer rings, spacing h out to
+    bounds _collar_radii: two wall-layer rings, spacing h out to
     (1 + _COLLAR_BAND)*eps, then growth by the factor 1 + h/band up to
     the smaller of band*h_max/h and side/2, which no collar passes.
     """
@@ -494,6 +497,30 @@ def estimate_torus_vertices(side: float, holes: int, eps: float, h: float) -> fl
     reach = min(band * h_max / h, side / 2.0)
     rings = 4.0 + _COLLAR_BAND * eps / h + max(0.0, math.log(reach / band)) / math.log1p(h / band)
     return 4 * n_e + nx * ny + holes * n_b * (1.0 + 2.0 * rings)
+
+
+def _collar_radii(eps: float, h: float, h_max: float, room: float) -> list[float]:
+    """Radii of collar rings 1..R, graded out from the hole polygon at eps.
+
+    The last ring stays within room of the hole's center, and within
+    band * h_max / h, where the spacing has reached h_max.
+    """
+    band = (1.0 + _COLLAR_BAND) * eps
+    reach = min(band * h_max / h, room)
+    radii, r = [], eps
+    while True:
+        if r - eps < h:
+            # wall layer: eigenfunctions behave like (eps/r)^q, so the
+            # normal second derivative peaks at the circle; halve the
+            # first ring spacings to keep that layer's share of the
+            # interpolation error in line with the rest of the collar.
+            s = 0.5 * h + 0.5 * (r - eps)
+        else:
+            s = min(h * max(1.0, r / band), h_max)
+        if r + s > reach:
+            return radii
+        r += s
+        radii.append(r)
 
 
 def mesh_torus_minus_disks(
@@ -508,8 +535,9 @@ def mesh_torus_minus_disks(
     h < eps/4); away from the holes the edge length grows to
     min(max(h, side/32), side/8).  Hole centers must be separated by
     more than 4*eps in the periodic metric.  The hole polygon carries
-    n_b vertices and every later collar ring 2*n_b; the rings are
-    stitched, one Delaunay call meshes the background around them, and
+    n_b vertices and every later collar ring 2*n_b; the strips between
+    the rings are three stitched patterns moved along the collar's
+    numbering, one Delaunay call meshes the background around them, and
     no point moves once placed.  Returns a validated mesh whose only
     boundary edges are the hole polygons, marked by hole index, with one
     block per collar.
@@ -565,41 +593,31 @@ def mesh_torus_minus_disks(
     pairs += list(zip(top, bot)) + list(zip(right, left))
 
     # hole polygons and graded collar rings: ring 0 is the polygon, every
-    # later ring carries n_c = 2*n_b vertices, turned by half a step on
-    # alternate rings, and consecutive rings are stitched into strips
+    # later ring carries n_c = 2*n_b vertices, turned by half a step on odd
+    # rings.  The strip out of the polygon and the strips out of even and
+    # of odd rings are each one pattern, moved by the strip's first index
     n_c = 2 * n_b
-    ring_tops, strips, blocks = [], [], []
+    ang = 2.0 * math.pi * np.arange(n_b) / n_b
+    turned = [2.0 * math.pi * (np.arange(n_c) + 0.5 * p) / n_c for p in (0, 1)]
+    on_ring = np.stack([np.column_stack([np.cos(a), np.sin(a)]) for a in turned])
+    first = _stitch(np.arange(n_b, dtype=np.int32), ang,
+                    np.arange(n_b, n_b + n_c, dtype=np.int32), turned[1])
+    later = np.stack([
+        _stitch(np.arange(n_c, dtype=np.int32), turned[p],
+                np.arange(n_c, 2 * n_c, dtype=np.int32), turned[1 - p])
+        for p in (0, 1)
+    ])
+    room = min(0.45 * sep_min, margin - 0.8 * h_max)
+    radii = np.array(_collar_radii(eps, h, h_max, room) if b else [])
+    parity = np.arange(1, len(radii) + 1) % 2  # of rings 1..R
+    strips, blocks = [], []
     for c in frame:
-        ang = 2.0 * math.pi * np.arange(n_b) / n_b
-        ring = add(_ring(c, eps, ang))
-        cells = [ring[:, None]]
-        band = (1.0 + _COLLAR_BAND) * eps
-        collar_end = min(
-            band * h_max / h,
-            0.45 * sep_min,
-            margin - 0.8 * h_max,
-        )
-        r, k = eps, 0
-        while True:
-            if r - eps < h:
-                # wall layer: eigenfunctions behave like (eps/r)^q, so the
-                # normal second derivative peaks at the circle; halve the
-                # first ring spacings to keep that layer's share of the
-                # interpolation error in line with the rest of the collar.
-                s = 0.5 * h + 0.5 * (r - eps)
-            else:
-                s = min(h * max(1.0, r / band), h_max)
-            if r + s > collar_end:
-                break
-            r += s
-            k += 1
-            nxt_ang = 2.0 * math.pi * (np.arange(n_c) + 0.5 * (k % 2)) / n_c
-            nxt = add(_ring(c, r, nxt_ang))
-            strips.append(_stitch(ring, ang, nxt, nxt_ang))
-            cells.append(nxt.reshape(n_b, 2))
-            ring, ang = nxt, nxt_ang
-        blocks.append(np.hstack(cells))
-        ring_tops.append(r)
+        polygon = add(_ring(c, eps, ang))
+        rings = add((c + radii[:, None, None] * on_ring[parity]).reshape(-1, 2))
+        inner = rings[:-n_c:n_c, None, None]  # first vertex of rings 1..R-1
+        strips += [first + polygon[0], (later[parity[:-1]] + inner).reshape(-1, 3)]
+        cells = rings.reshape(-1, n_b, 2).transpose(1, 0, 2).reshape(n_b, -1)
+        blocks.append(np.hstack([polygon[:, None], cells]))
 
     # hex background lattice, kept clear of seams and collars
     hy, hx = side / ny, side / nx
@@ -612,8 +630,8 @@ def mesh_torus_minus_disks(
     keep = np.ones(len(hexpts), dtype=bool)
     keep &= np.minimum(hexpts[:, 0], side - hexpts[:, 0]) > 0.35 * h_max
     keep &= np.minimum(hexpts[:, 1], side - hexpts[:, 1]) > 0.35 * h_max
-    for c, r_top in zip(frame, ring_tops):
-        keep &= np.hypot(*(hexpts - c).T) > r_top + 0.55 * h_max
+    for c in frame:
+        keep &= np.hypot(*(hexpts - c).T) > radii[-1] + 0.55 * h_max
     hex_idx = add(hexpts[keep])
 
     # one Delaunay call on the background: the square's points (added
@@ -621,8 +639,8 @@ def mesh_torus_minus_disks(
     # whose corners all lie on one outermost ring is inside that collar,
     # which the strips fill; 2-D Delaunay simplices are counterclockwise
     pts = np.concatenate(points)
-    # a collar's outermost ring is its block's last two slots: collar_end >
-    # eps + h/2, so every collar has a ring past its polygon
+    # a collar's outermost ring is its block's last two slots: the collars
+    # reach past eps + h/2, so every collar has a ring past its polygon
     outer = [block[:, -2:].ravel() for block in blocks]
     bg = np.concatenate([np.arange(right[-1] + 1, dtype=np.int32), *outer, hex_idx])
     label = np.full(len(pts), -1, dtype=np.int32)

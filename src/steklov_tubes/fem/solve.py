@@ -51,22 +51,26 @@ Steklov eigenvalues without modes use the mesh's ray-periodic blocks
 (Mesh.blocks): turning by one cell maps a block onto itself, so K is
 block-circulant in its cells (P. J. Davis, Circulant Matrices, 1979).
 The Fourier sector j, u_c = v w^(jc) with w = exp(2 pi i / n), turns it
-into a banded Hermitian K_j on the slots, and one banded solve over all
-sectors eliminates chosen slots (_sector_schur).  The circulant rows are
-read from the triangles touching cell 0 alone, summed as assemble sums
-them (_circulant_rows), once the declaration is checked on the mesh
-itself: exactly on the triangles' (cell, slot) labels, and to TURN_ULPS
-on the coordinates, so the check does not tighten as h falls.  The
-annulus's one block covers the mesh (cells are rays, slots rings), and
+into a banded Hermitian K_j on the slots, and one banded solve over the
+sectors eliminates chosen slots (_sector_schur).  K is real, so K_(n-j)
+is the conjugate of K_j: n//2 + 1 sectors, 0..n//2, are formed, factored
+and solved, and the others are their conjugates.  The circulant rows
+are read from the triangles touching cell 0 alone, summed as assemble
+sums them (_circulant_rows), once the declaration is checked on the
+mesh itself: exactly on the triangles' (cell, slot) labels, and to
+TURN_ULPS on the coordinates, so the check does not tighten as h falls.
+The annulus's one block covers the mesh (cells are rays, slots rings), and
 it assembles no K: the interior and Neumann rings are eliminated onto
 the at most two Steklov rings, whose batched D^-1/2 S_j D^-1/2 give the
-eigenvalues with no sparse factorization.  On the torus, K is assembled
-as for any mesh, rings 1..R-1 of each collar are read from cell 0 and
-eliminated onto the polygon and the outer ring R; an inverse DFT turns
-the 3 x 3 Schur complements into one dense rim block that replaces the
-rings in K, and the general path solves the reduced K with the same
-tau.  The Schur complement is exact, so the spectrum moves only by
-rounding.  Modes, Neumann spectra, disks and loaded meshes (which carry
+eigenvalues with no sparse factorization.  The torus assembles no
+whole-mesh K either: rings 1..R-1 of each collar are read from cell 0
+and eliminated onto the polygon and the outer ring R, and an inverse DFT
+turns the 3 x 3 Schur complements into one dense rim block per collar.
+The reduced operator is the stiffness of the triangles with a corner
+left, summed in assemble's order so that each entry is K's own, plus
+the rim blocks (_condense_collars), and the general path solves it with
+the same tau.  The Schur complement is exact, so the spectrum moves only
+by rounding.  Modes, Neumann spectra, disks and loaded meshes (which carry
 no blocks) take the general path.
 
 Because A is SPD, LU needs no pivoting to be stable, so SuperLU factors
@@ -452,26 +456,29 @@ def _sector_schur(mesh: Mesh, block, rows, elim, keep, d, fixed):
 
     block is an (n, slots) grid of vertices, and K_j is read from the K
     rows of the `rows` slots, zero between two other slots.  Returns (n,
-    len(keep), len(keep)), sector j in row j.
+    len(keep), len(keep)), sector j in row j.  K is real, so K_(n-j) is
+    the conjugate of K_j: sectors 0..n//2 are solved, and row n - j is
+    the conjugate of row j.
     """
     n, slots = block.shape
     B = _circulant_rows(mesh, block, rows, d, fixed)
     bw = B.shape[2] // 2
+    half = n // 2 + 1
 
     # K_j = sum_t w^(jt) K_t as the zero-row-sum K_j at j = 0 plus, over t != 0,
     # (w^(jt) - 1) K_t: the small sector terms carry no cancellation
     R0 = B.sum(axis=0)
     R0[:, bw] = -(R0[:, :bw].sum(axis=1) + R0[:, bw + 1 :].sum(axis=1))
-    R = np.broadcast_to(R0, (n, *R0.shape)).astype(complex)
-    theta = 2.0 * np.pi * np.fft.fftfreq(n)[:, None, None]
+    R = np.broadcast_to(R0, (half, *R0.shape)).astype(complex)
+    theta = 2.0 * np.pi * np.fft.fftfreq(n)[:half, None, None]
     for t in np.flatnonzero(B[1:].any(axis=(1, 2))) + 1:
         angle = theta * (t if 2 * t <= n else t - n)
         factor = -2.0 * np.sin(0.5 * angle) ** 2 + 1j * np.sin(angle)
-        for j in range(0, n, SECTOR_CHUNK):  # no temporary the size of R
+        for j in range(0, half, SECTOR_CHUNK):  # no temporary the size of R
             R[j : j + SECTOR_CHUNK] += factor[j : j + SECTOR_CHUNK] * B[t]
     del B
     # U[:, p, s] = (K_j)[p, p + s], the mean of rows p and p + s where given
-    U = np.zeros((n, slots + bw, bw + 1), dtype=complex)
+    U = np.zeros((half, slots + bw, bw + 1), dtype=complex)
     U[:, rows] = R[..., bw:]
     for s in range(bw + 1):
         U[:, rows - s, s] += R[..., bw - s].conj()
@@ -491,7 +498,7 @@ def _sector_schur(mesh: Mesh, block, rows, elim, keep, d, fixed):
 
     # upper form, sectors apart, stored as LAPACK reads it (band row fastest),
     # so the solve factors it in place
-    band = np.zeros((n, len(elim), bw + 1), dtype=complex)
+    band = np.zeros((half, len(elim), bw + 1), dtype=complex)
     for s in range(1, bw + 1):
         band[:, s:, bw - s] = entry(elim[:-s], elim[s:])
     band[..., bw] = entry(elim, elim)
@@ -504,7 +511,8 @@ def _sector_schur(mesh: Mesh, block, rows, elim, keep, d, fixed):
     with _numerical_errors():
         X = solveh_banded(band.reshape(-1, bw + 1).T, X, overwrite_ab=True, overwrite_b=True)
     del band
-    return KKK - KEK.transpose(0, 2, 1) @ X.reshape(KEK.shape)
+    schur = KKK - KEK.transpose(0, 2, 1) @ X.reshape(KEK.shape)
+    return np.concatenate([schur, schur[n - half : 0 : -1].conj()])
 
 
 def _sector_eigs(mesh: Mesh, d: np.ndarray, fixed: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -521,16 +529,21 @@ def _sector_eigs(mesh: Mesh, d: np.ndarray, fixed: np.ndarray, block: np.ndarray
         return np.linalg.eigvalsh(scale[:, None] * schur * scale)
 
 
-def _condense_collars(mesh: Mesh, K, d: np.ndarray, fixed: np.ndarray):
-    """(K, d, fixed) with rings 1..R-1 of each of the mesh's collar blocks eliminated.
+def _condense_collars(mesh: Mesh, d: np.ndarray, fixed: np.ndarray):
+    """(A, d, fixed) on the dofs left when rings 1..R-1 of each collar block are eliminated.
 
-    Slot 0 of a collar block is its hole polygon, its last two slots its
-    outer ring R: the rim, whose rows get zero sums again at the end.
+    A is K on the kept dofs plus one dense rim block per collar.  Only the
+    triangles with a kept corner are assembled, summed in assemble's
+    order, so every kept entry of K is K's own.  Slot 0 of a collar block
+    is its hole polygon, its last two slots its outer ring R: the rim,
+    whose rows get zero sums again at the end.
     """
-    dof = mesh.dof_map()[0]
-    stay = np.ones(K.shape[0], dtype=bool)
-    Kc = K.tocoo()
-    parts, rims = [(Kc.row, Kc.col, Kc.data)], []
+    dof, ndof = mesh.dof_map()
+    stay = np.ones(ndof, dtype=bool)
+    for block in mesh.blocks:
+        stay[dof[block[:, 1:-2]]] = False
+    new = np.cumsum(stay, dtype=np.int32) - 1  # kept dof -> row of A
+    rim, parts = np.zeros(np.count_nonzero(stay), dtype=bool), []
     for block in mesh.blocks:
         n, slots = block.shape
         elim, keep = np.arange(1, slots - 2), np.array([0, slots - 2, slots - 1])
@@ -538,14 +551,26 @@ def _condense_collars(mesh: Mesh, K, d: np.ndarray, fixed: np.ndarray):
         # cell c couples to cell c + t by (1/n) sum_j S_j w^(-jt)
         coupling = np.fft.fft(schur, axis=0).real / n
         dense = coupling[(np.arange(n) - np.arange(n)[:, None]) % n].transpose(0, 2, 1, 3)
-        rims.append(dof[block[:, keep]].ravel())
-        parts.append((np.repeat(rims[-1], 3 * n), np.tile(rims[-1], 3 * n), dense.ravel()))
-        stay[dof[block[:, elim]]] = False
+        rims = new[dof[block[:, keep]].ravel()]
+        rim[rims] = True
+        parts.append((np.repeat(rims, 3 * n), np.tile(rims, 3 * n), dense.ravel()))
+    corners = dof[mesh.triangles.T]
+    tri = np.flatnonzero(stay[corners[0]] | stay[corners[1]] | stay[corners[2]])
+    side, diag = _stiffness_entries(mesh, tri)
+    edges, inverse = mesh.edges()
+    on_edges = np.bincount(inverse.reshape(3, -1)[:, tri].ravel(), side.ravel(), len(edges))
+    on_dofs = np.bincount(corners[:, tri].ravel(), diag.ravel(), ndof)
+    del corners, tri, side, diag
+    both = np.flatnonzero(stay[edges[:, 0]] & stay[edges[:, 1]])
+    (a, b), on_edges = new[edges[both].T], on_edges[both]
+    kept = np.arange(len(rim), dtype=np.int32)
+    parts += [(a, b, on_edges), (b, a, on_edges), (kept, kept, on_dofs[stay])]
     row, col, data = map(np.concatenate, zip(*parts))
-    A = sparse.csr_matrix((data, (row, col)), shape=K.shape)[stay][:, stay]
+    del parts
+    A = sparse.csr_matrix((data, (row, col)), shape=(len(kept), len(kept)))
+    del row, col, data
     diag = A.diagonal()
     A.setdiag(0.0)
-    rim = np.isin(np.flatnonzero(stay), np.concatenate(rims))
     A.setdiag(np.where(rim, -(A @ np.ones(A.shape[0])), diag))
     return A, d[stay], fixed[stay]
 
@@ -592,9 +617,10 @@ def _steklov(
     if blocks and blocks[0].size == ndof:  # one block covers the mesh: K is never built
         sigmas = np.sort(_sector_eigs(mesh, d_vec, fixed, blocks[0]), axis=None)[:count]
         return np.maximum(sigmas, 0.0)  # as _lam clips rounding below zero
-    K = assemble(mesh)[0]
     if blocks:
-        K, d_vec, fixed = _condense_collars(mesh, K, d_vec, fixed)
+        K, d_vec, fixed = _condense_collars(mesh, d_vec, fixed)
+    else:
+        K = assemble(mesh)[0]
     free = np.flatnonzero(~fixed)
     out = _boundary_eigs(K[free][:, free], d_vec[free], count, tau, return_modes)
     if not return_modes:

@@ -476,13 +476,15 @@ def _peak_bytes_per_vertex(build, count: int) -> tuple[float, int]:
 # tracemalloc peaks per vertex of a mesh build and its Steklov solve, as
 # measured with int32 mesh indices, numpy 2.4 and scipy 1.17.  The h 0.01
 # annulus (24021 vertices) peaks in its build: its sector solve reaches
-# 239 (320 with int64 indices, 457 with the assembled K, 784 with the
-# mass matrix and the np.unique edge table), and the int64 build 330.
-# The eps 0.01 trend torus of criterion 4 (17825 vertices) peaks where
-# the collar path puts the condensed rim blocks into K (836 with int64
-# indices); its build reaches 272.
+# 210 (239 solving all n sectors, 320 with int64 indices, 457 with the
+# assembled K, 784 with the mass matrix and the np.unique edge table),
+# and the int64 build 330.  The eps 0.01 trend torus of criterion 4
+# (17825 vertices) peaks where the collar path builds the condensed
+# operator from the kept triangles and the rim blocks (785 when it cut
+# them out of the whole-mesh K, 836 with int64 indices); its build
+# reaches 272.
 PEAK_BYTES_PER_VERTEX = 246
-COLLAR_PEAK_BYTES_PER_VERTEX = 785
+COLLAR_PEAK_BYTES_PER_VERTEX = 352
 
 
 def test_annulus_build_and_solve_memory():
@@ -593,6 +595,46 @@ def test_sector_against_mpmath():
     assert list(got) == pytest.approx(want, rel=1e-11)
 
 
+@pytest.mark.parametrize("case, n", [("collar", 75), ("annulus-0.1", 47), ("annulus-0.05", 94)])
+def test_sector_schur_solves_half_the_sectors(case, n):
+    # rows j != n - j are exact conjugates, and every row is the Schur
+    # complement of K_j = sum_t w^(jt) K[(0, p), (t, q)], read from the
+    # assembled K's rows of cell 0 (odd n: criterion 4's collar and the
+    # h 0.1 annulus; even n: the h 0.05 annulus)
+    if case == "collar":
+        eps = TREND_EPS[-1]
+        mesh = mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, _trend_h(eps))
+        block = mesh.blocks[0]
+        slots = block.shape[1]
+        rows = elim = np.arange(1, slots - 2)
+        keep = np.array([0, slots - 2, slots - 1])
+    else:
+        mesh = mesh_planar(Annulus(0.5, 1.0), float(case.split("-")[1]))
+        block = mesh.blocks[0]
+        slots = block.shape[1]
+        rows, elim = np.arange(slots), np.arange(1, slots - 1)
+        keep = np.array([0, slots - 1])
+    assert len(block) == n
+    K, dof, ndof = assemble(mesh)
+    d = boundary_mass(mesh, {0, 1}, dof, ndof)
+    got = solve._sector_schur(mesh, block, rows, elim, keep, d, np.zeros(ndof, dtype=bool))
+    assert got.shape == (n, len(keep), len(keep))
+    j = np.arange(1, (n + 1) // 2)  # sector n/2 of an even n is its own pair
+    assert np.array_equal(got[n - j], got[j].conj())
+    # K_j on the `rows` slots from K's rows, the other rows by K_j's symmetry
+    cell0 = K[dof[block[0, rows]]][:, dof[block].ravel()].toarray().reshape(len(rows), n, slots)
+    w = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    Kj = np.zeros((n, slots, slots), dtype=complex)
+    Kj[:, rows] = np.einsum("jt,ptq->jpq", w, cell0)
+    other = np.setdiff1d(np.arange(slots), rows)
+    Kj[:, other[:, None], rows] = Kj[:, rows[None, :], other[:, None]].conj()
+    EK = Kj[:, elim[:, None], keep]
+    want = Kj[:, keep[:, None], keep] - EK.conj().transpose(0, 2, 1) @ np.linalg.solve(
+        Kj[:, elim[:, None], elim], EK
+    )
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_sector_path_checks_the_rays(annulus_mesh):
     # one interior vertex moved off its ring breaks the turn symmetry
     block = annulus_mesh.blocks[0]
@@ -626,6 +668,24 @@ def test_sector_path_checks_the_rays(annulus_mesh):
             steklov_spectrum(marked, 8, **kw)
     # the general path solves the moved mesh
     assert steklov_spectrum(dataclasses.replace(moved, blocks=()), 8)[0] <= 1e-10
+
+
+def test_collar_torus_builds_no_stiffness(torus_mesh):
+    # a Steklov solve without modes assembles the kept triangles alone;
+    # a Neumann solve, an energy check or a solve with modes assembles K
+    f = np.linspace(0.0, 1.0, torus_mesh.dof_map()[1])
+    builds = (
+        lambda mesh: neumann_spectrum(mesh, 3),
+        lambda mesh: dirichlet_energy_check(mesh, f, 1.0, marker=0),
+        lambda mesh: steklov_spectrum(mesh, 3, return_modes=True),
+    )
+    for build in builds:
+        mesh = dataclasses.replace(torus_mesh)
+        for markers in (((), ()), ((0,), ()), ((), (1,))):
+            steklov_spectrum(mesh, 3, *markers)
+        assert "stiffness" not in mesh._cache
+        build(mesh)
+        assert "stiffness" in mesh._cache
 
 
 def test_block_covered_annulus_builds_no_stiffness(annulus_mesh):
@@ -690,14 +750,26 @@ def test_collar_path_checks_the_turn(torus_mesh):
 def test_condensed_collars_keep_zero_row_sums(torus_mesh):
     # the Schur complement of a zero-row-sum K has zero row sums; each rim
     # row's diagonal is reset to restore them after the sector solves' rounding
-    K, dof, ndof = assemble(torus_mesh)
-    d = boundary_mass(torus_mesh, {0, 1}, dof, ndof)
-    blocks = [dof[block] for block in torus_mesh.blocks]
-    A, d_kept, fixed = solve._condense_collars(torus_mesh, K, d, np.zeros(ndof, dtype=bool))
+    mesh = dataclasses.replace(torus_mesh)
+    dof, ndof = mesh.dof_map()
+    d = boundary_mass(mesh, {0, 1}, dof, ndof)
+    blocks = [dof[block] for block in mesh.blocks]
+    A, d_kept, fixed = solve._condense_collars(mesh, d, np.zeros(ndof, dtype=bool))
+    assert "stiffness" not in mesh._cache
     assert A.shape[0] == len(d_kept) == len(fixed) == ndof - sum(b[:, 1:-2].size for b in blocks)
     assert np.array_equal(d_kept[d_kept > 0], d[d > 0])
     # the sector solves alone leave rim row sums near 1e-14 max|A|
     assert np.abs(A @ np.ones(A.shape[0])).max() <= 3e-15 * np.abs(A.data).max()
+    # off the rim blocks, A is the assembled K on the kept dofs, bit for bit
+    stay = np.ones(ndof, dtype=bool)
+    collar = np.full(ndof, -1)
+    for j, block in enumerate(blocks):
+        stay[block[:, 1:-2]] = False
+        collar[block[:, [0, -2, -1]]] = j
+    collar = collar[stay]
+    rim_block = (collar[:, None] == collar[None, :]) & (collar[:, None] >= 0)
+    K = assemble(mesh)[0][stay][:, stay].toarray()
+    assert np.array_equal(A.toarray()[~rim_block], K[~rim_block])
 
 
 def test_fine_collars_take_the_collar_path(monkeypatch):

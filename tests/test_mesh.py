@@ -476,3 +476,66 @@ def test_blocks_turn_onto_themselves(annulus_mesh, torus_mesh):
         every = np.concatenate([b.ravel() for b in mesh.blocks])
         assert len(np.unique(every)) == len(every)
     assert len(torus_mesh.blocks) == 2 and len(four.blocks) == 4
+
+
+def _per_ring_collars(side, centers, eps, h):
+    """(vertices, strips, block) of each collar, placed and stitched ring by ring.
+
+    Numbered from the collar's first polygon vertex: the polygon, then
+    each ring as it is placed.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2) % side
+    h_max, _, _, _, n_b = mesh_mod._torus_grid(side, len(centers), eps, h)
+    off, margin = mesh_mod._best_offset(centers, side)
+    frame = (centers - off) % side
+    gap = np.abs(frame[:, None] - frame[None, :]) % side
+    gap = np.minimum(gap, side - gap)
+    sep = np.hypot(gap[..., 0], gap[..., 1])[np.triu_indices(len(frame), 1)]
+    band = (1.0 + mesh_mod._COLLAR_BAND) * eps
+    end = min(band * h_max / h, 0.45 * sep.min(initial=math.inf), margin - 0.8 * h_max)
+    collars = []
+    for c in frame:
+        ang = 2.0 * math.pi * np.arange(n_b) / n_b
+        ring = np.arange(n_b, dtype=np.int32)
+        vertices, strips, cells = [mesh_mod._ring(c, eps, ang)], [], [ring[:, None]]
+        r, k = eps, 0
+        while True:
+            s = 0.5 * h + 0.5 * (r - eps) if r - eps < h else min(h * max(1.0, r / band), h_max)
+            if r + s > end:
+                break
+            r, k = r + s, k + 1
+            nxt_ang = 2.0 * math.pi * (np.arange(2 * n_b) + 0.5 * (k % 2)) / (2 * n_b)
+            nxt = ring.max() + 1 + np.arange(2 * n_b, dtype=np.int32)
+            vertices.append(mesh_mod._ring(c, r, nxt_ang))
+            strips.append(mesh_mod._stitch(ring, ang, nxt, nxt_ang))
+            cells.append(nxt.reshape(n_b, 2))
+            ring, ang = nxt, nxt_ang
+        collars.append((np.concatenate(vertices) + off, np.concatenate(strips), np.hstack(cells)))
+    return collars
+
+
+@pytest.mark.parametrize(
+    "side, centers, eps, h",
+    [
+        (1.0, ((0.5, 0.5),), 0.05, 0.01),
+        (1.0, CENTERS, 0.05, 0.01),
+        (*THREE_HOLES, 0.05, 0.01),
+        (1.0, ((0.25, 0.25), (0.75, 0.75), (0.25, 0.75), (0.75, 0.25)), 0.05, 0.01),
+        (1.0, CENTERS, 0.0005, 0.0001),
+    ],
+    ids=["one-hole", "two-holes", "three-holes", "four-holes", "eps0.0005-h1e-4"],
+)
+def test_collars_match_per_ring_stitching(side, centers, eps, h):
+    # the collars are laid out in one pass from three stitched patterns;
+    # ring by ring, one _stitch per strip, gives the same arrays bit for bit
+    mesh = mesh_torus_minus_disks(side, centers, eps, h)
+    collars = _per_ring_collars(side, centers, eps, h)
+    end = mesh.num_triangles - sum(len(strips) for _, strips, _ in collars)
+    assert len(mesh.blocks) == len(collars) == len(centers)
+    for block, (vertices, strips, cells) in zip(mesh.blocks, collars):
+        start = block[0, 0]
+        assert np.array_equal(mesh.vertices[start : start + len(vertices)], vertices)
+        assert np.array_equal(mesh.triangles[end : end + len(strips)], strips + start)
+        assert np.array_equal(block, cells + start)
+        end += len(strips)
+    assert end == mesh.num_triangles
