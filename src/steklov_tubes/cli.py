@@ -34,7 +34,9 @@ model commands on scenarios whose modes all have lambda = 0 (points)
 load neither numpy nor scipy.  A lambda > 0 mode loads numpy and
 scipy.special (the Bessel kernels), --oracle-grid loads numpy and
 scipy.linalg, and fem and verify-all load the FEM layer (numpy,
-scipy.sparse, scipy.spatial).
+scipy.sparse, scipy.linalg).  The first torus mesh a process builds
+also loads scipy.spatial, for its one Delaunay call; disk and annulus
+runs never load it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ Three generators:
     once per mesh, as it stitches the disk's rings.  The square's
     opposite edges carry matching vertices that are identified through
     periodic_pairs.  One Delaunay call triangulates the background (the
-    square's points, the hex points and each collar's outermost ring),
+    square's points, the hex points and each collar's outermost ring;
+    the generator imports scipy.spatial for it, so the first torus a
+    process builds pays that import and planar meshes never load it),
     and nothing is smoothed; a triangle whose corners all lie on one
     outermost ring is inside that collar and dropped.  Turning by one
     polygon step maps each collar onto itself, and the mesh declares
@@ -33,7 +35,10 @@ Three generators:
 Every generator lists the boundary rings it placed, the torus its hole
 polygons (hole j carries marker j wherever its center lies).  The torus
 mesh covers a translate of the fundamental square whose seams run clear
-of every hole, and the periodic gluing exists only in the dof map.
+of every hole, and the periodic gluing exists only in the dof map:
+Mesh.dof_map labels each vertex with the lowest vertex that pairs join
+it to, by label propagation in numpy, and numbers the dofs in order of
+those lowest vertices.
 
 Each mesh sorts its edges once: Mesh.edges() caches the dof-space edge
 table, and Mesh.areas() the signed triangle areas.  validate (positive
@@ -46,7 +51,8 @@ from the start, and a Mesh holds its triangles, boundary edges and
 markers, periodic pairs and blocks, and its edge table, as int32.  No
 mesh under MAX_VERTICES comes near 2**31 indices, and int32 takes a
 quarter off the bytes per vertex of a build.  A Mesh refuses an index
-that int32 cannot hold, so a loaded file cannot wrap one.
+that int32 cannot hold, so a loaded file cannot wrap one, and a vertex
+index that names no vertex, so a negative one cannot count from the end.
 """
 
 from __future__ import annotations
@@ -55,9 +61,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_array
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay
+from scipy.sparse import csr_array
 
 from ..errors import ConfigurationError, NumericalError
 
@@ -127,8 +131,9 @@ def _check_size(estimate, *args) -> None:
 _COLLAR_BAND = 0.5
 
 
-def _index_copy(name: str, value) -> np.ndarray:
-    """An int32 copy of an index array; refuses what int32 cannot hold exactly."""
+def _index_copy(name: str, value, vertices: int | None) -> np.ndarray:
+    """An int32 copy of an index array; refuses what int32 cannot hold
+    exactly and, given a vertex count, an index outside [0, vertices)."""
     arr = np.asarray(value)
     if arr.size and not np.can_cast(arr.dtype, np.int32):
         if arr.dtype.kind not in "iu":
@@ -138,7 +143,15 @@ def _index_copy(name: str, value) -> np.ndarray:
             raise ConfigurationError(
                 f"mesh {name} hold {high if high >= 2**31 else low}, outside int32"
             )
-    return arr.astype(np.int32)
+    arr = arr.astype(np.int32)
+    if vertices is not None and arr.size:
+        low, high = int(arr.min()), int(arr.max())
+        if low < 0 or high >= vertices:
+            raise ConfigurationError(
+                f"mesh {name} hold {low if low < 0 else high}, "
+                f"outside the vertex range [0, {vertices})"
+            )
+    return arr
 
 
 @dataclass(frozen=True)
@@ -160,12 +173,14 @@ class Mesh:
     finishes every array, the torus boundary included, before it builds
     the mesh.  The index arrays are copied as int32; a value int32 cannot
     hold exactly (outside +-2**31, or not an integer) raises
-    ConfigurationError and is never wrapped.  The dof map, the edge
-    table, the areas, the stiffness of solve.assemble, the mass of
-    solve.mass (built for Neumann solves only), the Steklov and Neumann
-    spectra of fem.solve and the boundary masses of fem.checks are
-    cached on the instance, so every check and solve on one mesh object
-    shares them; dataclasses.replace gives a new mesh with a fresh cache.
+    ConfigurationError and is never wrapped, and so does a vertex index
+    outside [0, num_vertices) in the triangles, boundary edges, periodic
+    pairs or blocks.  The dof map, the edge table, the areas, the
+    stiffness of solve.assemble, the mass of solve.mass (built for
+    Neumann solves only), the Steklov and Neumann spectra of fem.solve
+    and the boundary masses of fem.checks are cached on the instance, so
+    every check and solve on one mesh object shares them;
+    dataclasses.replace gives a new mesh with a fresh cache.
 
     blocks declares ray-periodic parts: a block is a (cells x slots) grid
     of vertex indices, and turning counterclockwise by 2 pi / cells about
@@ -192,7 +207,12 @@ class Mesh:
             if f.name == "vertices":
                 arrays = [np.array(value)]
             else:
-                arrays = [_index_copy(f.name, v) for v in (value if f.name == "blocks" else [value])]
+                # vertices come first, so their count bounds every index array
+                vertices = None if f.name == "boundary_markers" else self.num_vertices
+                arrays = [
+                    _index_copy(f.name, v, vertices)
+                    for v in (value if f.name == "blocks" else [value])
+                ]
             for arr in arrays:
                 arr.flags.writeable = False
             object.__setattr__(self, f.name, tuple(arrays) if f.name == "blocks" else arrays[0])
@@ -218,15 +238,29 @@ class Mesh:
     def dof_map(self) -> tuple[np.ndarray, int]:
         """Vertex -> dof indices after periodic identification (cached).
 
-        Dofs are the connected components of the periodic_pairs graph,
-        numbered in order of their lowest vertex.  The labels are read-only.
+        A dof is a set of vertices that periodic_pairs join, directly or
+        through a chain of pairs; dofs are numbered in order of their
+        lowest vertex, and a mesh without pairs has dof i at vertex i.
+        The labels are int32 and read-only.
+
+        A label always names a vertex of the same set, no higher than
+        itself.  Each round hooks the higher label of every pair onto the
+        lower, then replaces every label by its label's label until none
+        moves; every round lowers a label, and rounds stop when both ends
+        of every pair carry one label.  A set's lowest vertex is then the
+        one vertex of the set that labels itself, and it labels them all.
         """
 
         def build(m: Mesh) -> tuple[np.ndarray, int]:
-            n, pairs = m.num_vertices, m.periodic_pairs
-            graph = coo_matrix((np.ones(len(pairs)), pairs.T), (n, n))
-            ndof, dof = connected_components(graph, directed=False)
-            return dof, ndof
+            label, pairs = np.arange(m.num_vertices, dtype=np.int32), m.periodic_pairs.T
+            while not np.array_equal(*(ends := label[pairs])):
+                low = ends.min(axis=0)
+                for end in ends:  # numpy 2.4's minimum.at misreads a broadcast low
+                    np.minimum.at(label, end, low)
+                while not np.array_equal(jump := label[label], label):
+                    label = jump
+            own = label == np.arange(len(label))
+            return (np.cumsum(own, dtype=np.int32) - 1)[label], int(np.count_nonzero(own))
 
         return self.cached("dof_map", build)
 
@@ -321,9 +355,9 @@ class Mesh:
                 if tag != "periodic":
                     raise ValueError(f"unexpected section {tag!r}")
                 pairs = section(pos + 1, int(npairs), 2, int)
-        except (ValueError, IndexError, OverflowError) as exc:
+            mesh = cls(verts, tris, bnd[:, :2], bnd[:, 2], pairs)
+        except (ValueError, IndexError, OverflowError, ConfigurationError) as exc:
             raise ConfigurationError(f"malformed mesh file {path}: {exc}") from exc
-        mesh = cls(verts, tris, bnd[:, :2], bnd[:, 2], pairs)
         mesh.validate()
         return mesh
 
@@ -646,6 +680,8 @@ def mesh_torus_minus_disks(
     label = np.full(len(pts), -1, dtype=np.int32)
     for j, ring in enumerate(outer):
         label[ring] = j
+    from scipy.spatial import Delaunay  # here, so that planar meshes never load scipy.spatial
+
     simp = bg[Delaunay(pts[bg]).simplices]
     on = label[simp]
     simp = simp[(on[:, 0] < 0) | (on[:, 0] != on[:, 1]) | (on[:, 1] != on[:, 2])]

@@ -24,7 +24,10 @@ at the scale of the lowest eigenvalues.  The eigenvalues sought are the
 largest mu of B u = mu A u, with lam = 1/mu - tau (ARPACK Users' Guide,
 Lehoucq, Sorensen and Yang 1998, sections 3-4).  Every lam >= 0, so mu
 <= 1/tau in exact arithmetic; rounding above that bound is clipped and
-no eigenvalue comes out negative.
+no eigenvalue comes out negative.  A is the one copy of an operator a
+solve makes: the Neumann A sums K's and M's data on their shared
+pattern, the Steklov A is K with its diagonal shifted, and K is cut
+down to the free dofs only when some dof is fixed.
 
 Neumann runs shift-invert Lanczos (ARPACK) over all n dofs, or a dense
 eigh from count >= n - 1.  The Steklov spectrum lives on the n_s dofs
@@ -264,9 +267,16 @@ def _lam(mu, tau: float):
 
 
 def _pencil_eigs(K, b_mat, count: int, tau: float) -> np.ndarray:
-    """`count` smallest eigenvalues of K u = lam B u, ascending (mode 2)."""
+    """`count` smallest eigenvalues of K u = lam B u, ascending (mode 2).
+
+    K and B are exactly symmetric CSR matrices on one pattern, as K and
+    mass(mesh) are, so A = K + tau B is formed on their data alone, and
+    its CSR arrays, read as CSC, are A itself.
+    """
     n = K.shape[0]
-    A = (K + tau * b_mat).tocsc()
+    data = tau * b_mat.data
+    data += K.data
+    A = sparse.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
     with _numerical_errors():
         if count >= n - 1:
             mu, _ = eigh(b_mat.toarray(), A.toarray(), subset_by_index=[n - count, n - 1])
@@ -331,8 +341,9 @@ def _boundary_eigs(K, d: np.ndarray, count: int, tau: float, return_modes: bool 
     n_s = len(s)
     W = sparse.csc_matrix((np.sqrt(d[s]), s, np.arange(n_s + 1)), shape=(K.shape[0], n_s))
     Wt = W.T
-    # A = K + tau diag(d) on K's own pattern: a sparse sum drops K's exact
-    # zeros, and the structure SuperLU orders would follow rounding
+    # A = K + tau diag(d) on K's own pattern, the one copy of K made here: a
+    # sparse sum drops K's exact zeros, and the structure SuperLU orders
+    # would follow rounding
     A = K.tocsc(copy=True)
     A.setdiag(A.diagonal() + tau * d)
     with _numerical_errors():
@@ -621,8 +632,11 @@ def _steklov(
         K, d_vec, fixed = _condense_collars(mesh, d_vec, fixed)
     else:
         K = assemble(mesh)[0]
-    free = np.flatnonzero(~fixed)
-    out = _boundary_eigs(K[free][:, free], d_vec[free], count, tau, return_modes)
+    free = slice(None)
+    if fixed.any():  # K and d are indexed, and so copied, only when a dof is fixed
+        free = np.flatnonzero(~fixed)
+        K = K[free][:, free]
+    out = _boundary_eigs(K, d_vec[free], count, tau, return_modes)
     if not return_modes:
         return out
     sigmas, u_free = out

@@ -108,6 +108,23 @@ def test_bessel_modes_load_only_scipy_special():
     assert {"scipy.sparse", "scipy.spatial", "steklov_tubes.fem"} & modules == set()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fem", "--domain", "disk", "--h", "0.2", "--count", "4"],
+        ["fem", "--domain", "annulus", "--h", "0.1", "--count", "4"],
+        ["fem", "--domain", "torus", "--h", "0.01", "--eps", "0.05", "--count", "4"],
+    ],
+    ids=["disk", "annulus", "torus"],
+)
+def test_fem_loads_spatial_only_for_the_torus(argv):
+    # the dof map needs no scipy.sparse.csgraph, and only the torus
+    # generator's Delaunay call loads scipy.spatial
+    modules = _modules_after(argv)
+    assert "scipy.sparse.csgraph" not in modules
+    assert ("scipy.spatial" in modules) == (argv[2] == "torus")
+
+
 def test_old_exports_resolve():
     # in a fresh interpreter, so that each submodule is bound by the
     # package's __getattr__ and not by an earlier import; in this order

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from steklov_tubes.acceptance import TORUS_CENTERS, TREND_EPS, _trend_h
 from steklov_tubes.errors import ConfigurationError, NumericalError
@@ -112,8 +113,8 @@ def test_torus_triangulates_background_once(monkeypatch):
         calls.append(len(points))
         return delaunay(points, *args, **kwargs)
 
-    delaunay = mesh_mod.Delaunay
-    monkeypatch.setattr(mesh_mod, "Delaunay", counting)
+    delaunay = scipy.spatial.Delaunay
+    monkeypatch.setattr(scipy.spatial, "Delaunay", counting)
     for eps, h in ((0.05, 0.01), (0.02, 0.02 / 6.0)):
         calls.clear()
         mesh = mesh_torus_minus_disks(1.0, TORUS_CENTERS, eps, h)
@@ -318,6 +319,85 @@ def test_dof_map_chained_pairs():
     dof, ndof = mesh.dof_map()
     assert dof.tolist() == [0, 0, 0, 1]
     assert ndof == 2
+
+
+def _random_pairs(rng, n):
+    """Shuffled pairs on n >= 3 vertices: a chain, a cycle, random pairs,
+    repeats of some of them and self-pairs, each pair in either order."""
+    order = rng.permutation(n)
+    cut = np.sort(rng.choice(np.arange(1, n), size=2, replace=False))
+    chain, cycle = order[: cut[0]], order[cut[0] : cut[1]]
+    pairs = np.concatenate([
+        np.column_stack([chain[:-1], chain[1:]]),
+        np.column_stack([cycle, np.roll(cycle, 1)]),
+        rng.integers(0, n, size=(rng.integers(0, n), 2)),
+    ])
+    loops = rng.integers(0, n, size=rng.integers(0, 4))
+    pairs = np.concatenate([
+        pairs, pairs[rng.integers(0, len(pairs), size=len(pairs) // 2)],
+        np.column_stack([loops, loops]),
+    ])
+    pairs = pairs[rng.permutation(len(pairs))]
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    return pairs
+
+
+def test_dof_map_matches_connected_components(disk_mesh, annulus_mesh, torus_mesh):
+    # the dof map labels components by lowest vertex, as scipy's
+    # connected_components does, bit for bit and in int32
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(36)
+    empty = np.zeros((0, 2), dtype=np.int32)
+
+    def paired(n, pairs):
+        return Mesh(np.zeros((n, 2)), np.zeros((0, 3), dtype=np.int32), empty,
+                    np.zeros(0, dtype=np.int32), pairs)
+
+    meshes = [paired(3, empty)]
+    meshes += [paired(n, _random_pairs(rng, n)) for n in rng.integers(3, 80, size=300)]
+    side, centers = THREE_HOLES
+    meshes += [
+        disk_mesh, annulus_mesh, torus_mesh, mesh_torus_minus_disks(1.0, [], 0.05, 0.01),
+        mesh_torus_minus_disks(1.0, [(0.5, 0.5)], 0.02, 0.004),
+        mesh_torus_minus_disks(side, centers, 0.05, 0.01),
+    ]
+    for mesh in meshes:
+        dof, ndof = mesh.dof_map()
+        n, pairs = mesh.num_vertices, mesh.periodic_pairs
+        graph = coo_matrix((np.ones(len(pairs)), pairs.T), (n, n))
+        ref_ndof, ref = connected_components(graph, directed=False)
+        assert dof.dtype == ref.dtype == np.int32
+        assert np.array_equal(dof, ref) and ndof == ref_ndof
+
+
+def test_mesh_refuses_indices_off_the_vertices(tmp_path):
+    # an index outside [0, num_vertices) is refused by field name, and a
+    # file holding one is malformed; markers are labels, not indices
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tri, edge, marker = np.array([[0, 1, 2]]), np.array([[0, 1]]), np.array([7])
+    assert Mesh(verts, tri, edge, marker).boundary_markers.tolist() == [7]
+    for name, args in (
+        ("triangles", (np.array([[0, 1, -1]]), edge, marker)),
+        ("triangles", (np.array([[0, 1, 7]]), edge, marker)),
+        ("boundary_edges", (tri, np.array([[0, 3]]), marker)),
+        ("periodic_pairs", (tri, edge, marker, np.array([[5, 0]]))),
+        ("periodic_pairs", (tri, edge, marker, np.array([[0, -2]]))),
+        ("blocks", (tri, edge, marker, np.zeros((0, 2), dtype=int), (np.array([[0, 3]]),))),
+    ):
+        with pytest.raises(ConfigurationError, match=f"^mesh {name} hold"):
+            Mesh(verts, *args)
+    path = tmp_path / "disk.txt"
+    mesh_planar(Disk(1.0), 0.5).save(str(path))
+    text = path.read_text().splitlines()
+    nv = int(text[0].split()[0])
+    for index in (-1, nv):
+        text[1 + nv] = f"0 1 {index}"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ConfigurationError, match="malformed mesh file .*mesh triangles hold"):
+            Mesh.load(str(path))
 
 
 def test_load_empty_periodic_section(tmp_path):
